@@ -5,14 +5,19 @@ vector lives in R^(NM).  The central objects are
 
     B = A2' (I - M R) A1'        mean error dynamics,
     G = A2' M C',                noise injection map,
-    Y = G S G',                  injected noise covariance,
-    F = B' (x) B',               small-step variance-relation matrix,
+    Y = G S G' (+ delta_y),      injected noise covariance,
 
 with M the block step-size matrix, R the block diagonal of neighborhood
 covariances R_k = sum_l c_lk R_{u,l}, and S the block diagonal of
-sigma2_{v,k} R_{u,k}.  Steady-state MSD/EMSE values contract
-vec(Y') (I - F)^{-1} against vec of a weighting target.  Vectorization is
-column-major throughout so that vec(U X W) = (W' (x) U) vec(X).
+sigma2_{v,k} R_{u,k}.  Every steady-state value comes from the error
+covariance X of the small-step variance relation
+
+    X = B X B' + Y,
+
+a discrete Lyapunov equation solved by Bartels-Stewart
+(``scipy.linalg.solve_discrete_lyapunov``) and accepted only when its
+relative residual is small.  Node k's MSD is Tr(X_kk) and its EMSE is
+Tr(X_kk R_{u,k}), with X_kk the k-th diagonal M x M block.
 """
 
 from __future__ import annotations
@@ -20,24 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .datamodel import EnsembleModel, LinkNoiseModel
 from .diffusion import DiffusionConfig, atc_config, cta_config, non_cooperative_config
-from .errors import InstabilityError, PreconditionError, ValidationError
+from .errors import InstabilityError, ValidationError
 from .stochmat import DOUBLY, classify_stochastic, identity_combination, kron_identity
-
-# (I - F) is solved densely only up to this block size; larger systems route
-# through the series form (the dense solve scales as (NM)^6).
-DENSE_F_LIMIT = 64
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization (column-major)."""
-    return np.asarray(x).flatten(order="F")
-
-
-def unvec(v: np.ndarray, rows: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, -1, order="F")
 
 
 @dataclass(frozen=True)
@@ -94,27 +87,22 @@ def build_moments(model: EnsembleModel, cfg: DiffusionConfig) -> NetworkMoments:
 class VarianceConstructs:
     """Matrices of the mean and variance relations.
 
-    ``f`` is built densely only for NM <= DENSE_F_LIMIT and is None above
-    that; every consumer then falls back to the series form.  The imperfect-
-    exchange fields are populated by :func:`imperfect_constructs`.
+    ``b`` drives the mean error and ``y`` is the noise covariance injected
+    per step, so the steady-state error covariance X solves X = B X B' + Y.
+    Under noisy exchange, :func:`imperfect_constructs` folds the link-noise
+    term into ``y`` and also keeps it on its own as ``delta_y``.
     """
 
     b: np.ndarray
     g: np.ndarray
     y: np.ndarray
-    f: np.ndarray | None
     rho_b: float
     z: np.ndarray | None = None  # gradient-noise covariance C' S C (+ link term)
     delta_y: np.ndarray | None = None
-    y_imperfect: np.ndarray | None = None
-
-    @property
-    def nm(self) -> int:
-        return self.b.shape[0]
 
 
 def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> VarianceConstructs:
-    """Perfect-exchange constructs B, G, Y (and F at desk scale)."""
+    """Perfect-exchange constructs B, G and Y."""
     m = moments.m
     a1t = kron_identity(cfg.a1.entries.T, m)
     a2t = kron_identity(cfg.a2.entries.T, m)
@@ -122,23 +110,21 @@ def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> Varian
     b = a2t @ (np.eye(moments.n * m) - moments.mblk @ moments.r) @ a1t
     g = a2t @ moments.mblk @ ct
     y = g @ moments.s @ g.T
-    nm = moments.n * m
-    f = np.kron(b.T, b.T) if nm <= DENSE_F_LIMIT else None
     rho_b = float(np.abs(np.linalg.eigvals(b)).max())
     z = ct @ moments.s @ ct.T
-    return VarianceConstructs(b=b, g=g, y=y, f=f, rho_b=rho_b, z=z)
+    return VarianceConstructs(b=b, g=g, y=y, rho_b=rho_b, z=z)
 
 
 def imperfect_constructs(
     moments: NetworkMoments, cfg: DiffusionConfig, link_noise: LinkNoiseModel
 ) -> VarianceConstructs:
-    """Constructs with the noisy-exchange correction ``delta_y``.
+    """Constructs with the noisy-exchange correction ``delta_y`` folded into Y.
 
     delta_y = A2' M R_du M A2 + H Rw H' + Rpsi, with H = A2' (I - M R), where
     R_du aggregates measurement-exchange noise through the squared entries of
     C, and Rw/Rpsi aggregate estimate-exchange noise through the squared
     entries of A1/A2.  Regressors are exchanged unperturbed, so the mean
-    dynamics (and hence B and F) are those of the perfect-exchange case.
+    dynamics (and hence B) are those of the perfect-exchange case.
     """
     vc = variance_constructs(moments, cfg)
     n, m = moments.n, moments.m
@@ -160,7 +146,7 @@ def imperfect_constructs(
     )
     vc.z = vc.z + rdu
     vc.delta_y = delta_y
-    vc.y_imperfect = vc.y + delta_y
+    vc.y = vc.y + delta_y
     return vc
 
 
@@ -178,41 +164,37 @@ class PerformanceReport:
     method: str
 
 
-def _series_accumulate(b: np.ndarray, y: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
-    """Sum_j B^j Y B'^j, truncated when a term's trace stops contributing."""
-    total = y.copy()
-    term = y.copy()
-    for _ in range(max_terms):
-        term = b @ term @ b.T
-        total += term
-        if np.trace(term) <= tol * max(np.trace(total), 1e-300):
-            return total
-    raise InstabilityError("variance series did not converge within the term budget")
+def _steady_state(b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X with X = B X B' + Y, by Bartels-Stewart with a residual check.
+
+    Raises InstabilityError when ||X - B X B' - Y||_F exceeds 1e-8 ||Y||_F,
+    which covers both a failed solve (non-finite X) and an inaccurate one.
+    """
+    x = solve_discrete_lyapunov(b, y)
+    residual = np.linalg.norm(x - b @ x @ b.T - y)
+    y_norm = np.linalg.norm(y)
+    if not residual <= 1e-8 * y_norm:
+        raise InstabilityError(
+            f"Lyapunov solve inaccurate: ||X - B X B' - Y|| = {residual:.3g}, ||Y|| = {y_norm:.3g}"
+        )
+    return x
 
 
 def performance_report(
-    constructs: VarianceConstructs,
-    moments: NetworkMoments,
-    n: int | None = None,
-    m: int | None = None,
-    imperfect: bool = False,
-    series_tol: float = 1e-12,
+    constructs: VarianceConstructs, moments: NetworkMoments
 ) -> PerformanceReport:
     """Steady-state network and per-node MSD/EMSE.
 
-    Solves the steady-state variance relation by one linear solve when the
-    dense F is available and through the matrix series otherwise.  An
-    unstable configuration (rho(B) >= 1) yields a report flagged unstable
-    with NaN metrics rather than an exception.
+    Solves the variance relation X = B X B' + Y for the steady-state error
+    covariance X by Bartels-Stewart, raising InstabilityError when the
+    relative residual exceeds 1e-8, and reads node k's MSD Tr(X_kk) and EMSE
+    Tr(X_kk R_{u,k}) off its diagonal blocks.  An unstable configuration
+    (rho(B) >= 1) yields a report flagged unstable with NaN metrics rather
+    than an exception.
     """
-    n = moments.n if n is None else n
-    m = moments.m if m is None else m
-    y = constructs.y_imperfect if imperfect else constructs.y
-    if y is None:
-        raise PreconditionError("imperfect metrics need imperfect_constructs output")
+    n, m = moments.n, moments.m
     rho_b = constructs.rho_b
-    stable = rho_b < 1.0
-    if not stable:
+    if rho_b >= 1.0:
         nan = float("nan")
         return PerformanceReport(
             msd_network=nan,
@@ -225,30 +207,11 @@ def performance_report(
             method="none",
         )
 
-    if constructs.f is not None:
-        nm = n * m
-        lhs = np.eye(nm * nm) - constructs.f
-        try:
-            h = np.linalg.solve(lhs.T, vec(y.T))
-        except np.linalg.LinAlgError as exc:
-            raise InstabilityError(f"(I - F) solve failed: {exc}") from exc
-        hmat = unvec(h, nm)
-        method = "linear_solve"
-        total = hmat  # h . vec(X) == Tr(hmat' X)
-    else:
-        total = _series_accumulate(constructs.b, y, series_tol, 500000)
-        method = "series"
-
-    msd_node = np.empty(n)
-    emse_node = np.empty(n)
-    for k in range(n):
-        blk = total[k * m : (k + 1) * m, k * m : (k + 1) * m]
-        if method == "linear_solve":
-            msd_node[k] = np.trace(blk)
-            emse_node[k] = np.trace(blk.T @ moments.ru_stack[k])
-        else:
-            msd_node[k] = np.trace(blk)
-            emse_node[k] = np.trace(blk @ moments.ru_stack[k])
+    x = _steady_state(constructs.b, constructs.y)
+    nodes = np.arange(n)
+    blocks = x.reshape(n, m, n, m)[nodes, :, nodes, :]  # (N, M, M) diagonal blocks X_kk
+    msd_node = np.trace(blocks, axis1=1, axis2=2)
+    emse_node = np.einsum("kij,kji->k", blocks, moments.ru_stack)
     return PerformanceReport(
         msd_network=float(msd_node.mean()),
         emse_network=float(emse_node.mean()),
@@ -257,33 +220,8 @@ def performance_report(
         stable_mean=True,
         stable_ms=True,
         rho_b=rho_b,
-        method=method,
+        method="linear_solve",
     )
-
-
-def msd_series(
-    constructs: VarianceConstructs,
-    target: np.ndarray,
-    max_terms: int = 500000,
-    tol: float = 1e-14,
-    imperfect: bool = False,
-) -> float:
-    """Evaluate sum_j Tr(B^j Y B'^j target) by partial sums.
-
-    ``target`` is the (NM, NM) weighting matrix (I/N for the network MSD).
-    """
-    if constructs.rho_b >= 1.0:
-        raise InstabilityError(f"series diverges: rho(B) = {constructs.rho_b:.6g} >= 1")
-    y = constructs.y_imperfect if imperfect else constructs.y
-    term = y.copy()
-    total = float(np.tensordot(term, target))
-    for _ in range(max_terms):
-        term = constructs.b @ term @ constructs.b.T
-        inc = float(np.tensordot(term, target))
-        total += inc
-        if abs(inc) <= tol * max(abs(total), 1e-300):
-            return total
-    raise InstabilityError("MSD series did not converge within the term budget")
 
 
 def learning_curve_theory(
@@ -308,7 +246,7 @@ def learning_curve_theory(
         w_init = np.zeros((n, m))
     werr = (moments.wo[None, :] - np.asarray(w_init, dtype=float).reshape(n, m)).reshape(-1)
 
-    # F^j vec(T) corresponds to the matrix recursion T_{j+1} = B' T_j B
+    # the weighting recursion T_{j+1} = B' T_j B, dual to X_{j+1} = B X_j B' + Y
     b = constructs.b
     y = constructs.y
     curve = np.empty(steps + 1)
@@ -487,13 +425,7 @@ def generic_cost_report(hessians, cfg: DiffusionConfig, z: np.ndarray) -> float:
     if rho_b >= 1.0:
         raise InstabilityError(f"rho(B) = {rho_b:.6g} >= 1")
     y = a2t @ mblk @ np.asarray(z, dtype=float) @ mblk @ a2t.T
-    nm = n * m
-    if nm <= DENSE_F_LIMIT:
-        f = np.kron(b.T, b.T)
-        h = np.linalg.solve(np.eye(nm * nm) - f.T, vec(y.T))
-        return float(h @ vec(np.eye(nm))) / n
-    total = _series_accumulate(b, 0.5 * (y + y.T), 1e-14, 500000)
-    return float(np.trace(total)) / n
+    return float(np.trace(_steady_state(b, y))) / n
 
 
 def uniform_profile_msd(

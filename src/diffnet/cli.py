@@ -197,6 +197,17 @@ def _write_summary(path: Path, summary: dict):
         fh.write("\n")
 
 
+def _theory(model, cfg):
+    """Steady-state theory of a strategy: moments, constructs, report, stability."""
+    moments = analysis.build_moments(model, cfg)
+    if cfg.link_noise is not None:
+        constructs = analysis.imperfect_constructs(moments, cfg, cfg.link_noise)
+    else:
+        constructs = analysis.variance_constructs(moments, cfg)
+    report = analysis.performance_report(constructs, moments)
+    return moments, constructs, report, analysis.mean_stability(constructs, moments, cfg)
+
+
 def run(config: ExperimentConfig) -> dict:
     """Theory + Monte Carlo pipeline; returns the summary dict."""
     outdir = Path(config.outputs)
@@ -205,14 +216,7 @@ def run(config: ExperimentConfig) -> dict:
     model = build_model_spec(config.model, t.n)
     cfg = build_strategy(config.strategy, t, model)
 
-    moments = analysis.build_moments(model, cfg)
-    if cfg.link_noise is not None:
-        constructs = analysis.imperfect_constructs(moments, cfg, cfg.link_noise)
-        report = analysis.performance_report(constructs, moments, imperfect=True)
-    else:
-        constructs = analysis.variance_constructs(moments, cfg)
-        report = analysis.performance_report(constructs, moments)
-    stability = analysis.mean_stability(constructs, moments, cfg)
+    moments, constructs, report, stability = _theory(model, cfg)
 
     mc = diffusion.run_trials(
         model, cfg, config.iterations, config.trials, config.seed, topology=t
@@ -327,14 +331,7 @@ def cmd_analyze(args) -> int:
     t = build_topology_spec(config.topology)
     model = build_model_spec(config.model, t.n)
     cfg = build_strategy(config.strategy, t, model)
-    moments = analysis.build_moments(model, cfg)
-    if cfg.link_noise is not None:
-        constructs = analysis.imperfect_constructs(moments, cfg, cfg.link_noise)
-        report = analysis.performance_report(constructs, moments, imperfect=True)
-    else:
-        constructs = analysis.variance_constructs(moments, cfg)
-        report = analysis.performance_report(constructs, moments)
-    stability = analysis.mean_stability(constructs, moments, cfg)
+    _, _, report, stability = _theory(model, cfg)
     summary = {
         "rho_b": report.rho_b,
         "stable_mean": report.stable_mean,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffnet import analysis, combiners, diffusion, graph
 from diffnet.analysis import (
@@ -10,13 +12,10 @@ from diffnet.analysis import (
     imperfect_constructs,
     learning_curve_theory,
     mean_stability,
-    msd_series,
     noncooperative_small_step,
     performance_report,
-    unvec,
     uniform_profile_msd,
     variance_constructs,
-    vec,
 )
 from diffnet.datamodel import (
     EnsembleModel,
@@ -33,6 +32,49 @@ from diffnet.diffusion import (
 )
 from diffnet.errors import InstabilityError
 from diffnet.stochmat import identity_combination
+
+
+def vec(x: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization (column-major)."""
+    return np.asarray(x).flatten(order="F")
+
+
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    return np.asarray(v).reshape(rows, -1, order="F")
+
+
+def kronecker_steady_state(b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference X of X = B X B' + Y from the dense (NM)^2 system.
+
+    vec(B X B') = (B (x) B) vec(X), so (I - B (x) B) vec(X) = vec(Y); this
+    costs O((NM)^6) and serves only as an oracle at small NM.
+    """
+    nm = b.shape[0]
+    return unvec(np.linalg.solve(np.eye(nm * nm) - np.kron(b, b), vec(y)), nm)
+
+
+def series_steady_state(b: np.ndarray, y: np.ndarray, tol: float = 1e-16) -> np.ndarray:
+    """Reference X = sum_k B^k Y (B')^k, summed until a term's trace is below tol.
+
+    The Neumann series of X = B X B' + Y; it converges for rho(B) < 1 and
+    shares no code with scipy's Lyapunov solver or the Kronecker system.
+    """
+    x = np.zeros_like(y)
+    term = y.copy()
+    while True:
+        x += term
+        if abs(np.trace(term)) < tol * abs(np.trace(x)):
+            return x
+        term = b @ term @ b.T
+
+
+def node_values(x: np.ndarray, moments) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node MSD Tr(X_kk) and EMSE Tr(X_kk R_{u,k}) from a network X."""
+    m = moments.m
+    blocks = [x[k * m : (k + 1) * m, k * m : (k + 1) * m] for k in range(moments.n)]
+    msd = np.array([np.trace(blk) for blk in blocks])
+    emse = np.array([np.trace(blk @ ru) for blk, ru in zip(blocks, moments.ru_stack)])
+    return msd, emse
 
 
 def scalar_setup(mu=0.1, sigma2=1.0):
@@ -74,7 +116,6 @@ def test_vec_trace_identities():
 def test_scalar_closed_form():
     _, _, moments, vc = scalar_setup()
     assert vc.b[0, 0] == pytest.approx(0.9)
-    assert vc.f[0, 0] == pytest.approx(0.81)
     assert vc.y[0, 0] == pytest.approx(0.01)
     rep = performance_report(vc, moments)
     assert rep.msd_network == pytest.approx(0.01 / 0.19, abs=1e-12)
@@ -83,17 +124,13 @@ def test_scalar_closed_form():
     assert abs(rep.msd_network - 0.05) < 0.005
 
 
-def test_scalar_series():
-    _, _, moments, vc = scalar_setup()
-    val = msd_series(vc, np.eye(1), tol=1e-16)
-    assert val == pytest.approx(0.01 / 0.19, abs=1e-10)
-
-
-def test_series_zero_b_single_term():
+def test_zero_b_gives_x_equals_y():
     _, _, moments, vc = scalar_setup()
     vc.b = np.zeros((1, 1))
     vc.rho_b = 0.0
-    assert msd_series(vc, np.eye(1)) == pytest.approx(vc.y[0, 0])
+    rep = performance_report(vc, moments)
+    assert rep.msd_network == pytest.approx(vc.y[0, 0], rel=1e-14)
+    assert rep.emse_network == pytest.approx(vc.y[0, 0], rel=1e-14)  # R_u = 1
 
 
 def test_moments_identity_c():
@@ -137,12 +174,16 @@ def test_moments_match_sampled_instantaneous_matrices():
         ).max()
 
 
-def test_rho_f_is_rho_b_squared():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        _, _, _, _, vc = random_setup(rng, n=int(rng.integers(2, 4)))
-        rho_f = np.abs(np.linalg.eigvals(vc.f)).max()
-        assert abs(rho_f - vc.rho_b**2) < 1e-8
+def test_report_matches_kronecker_oracle():
+    rng = np.random.default_rng(4)
+    rules = [("metropolis", None), ("averaging", "averaging"), ("relative_degree", None)]
+    for rule, c_rule in rules * 4:
+        _, model, cfg, moments, vc = random_setup(rng, n=3, m=2, mu=0.04, rule=rule, c_rule=c_rule)
+        rep = performance_report(vc, moments)
+        assert rep.method == "linear_solve"
+        msd, emse = node_values(kronecker_steady_state(vc.b, vc.y), moments)
+        np.testing.assert_allclose(rep.msd_node, msd, rtol=1e-10)
+        np.testing.assert_allclose(rep.emse_node, emse, rtol=1e-10)
 
 
 def test_series_matches_linear_solve():
@@ -150,22 +191,31 @@ def test_series_matches_linear_solve():
     for _ in range(10):
         _, model, cfg, moments, vc = random_setup(rng, n=3, m=2, mu=0.04)
         rep = performance_report(vc, moments)
-        nm = moments.n * moments.m
-        val = msd_series(vc, np.eye(nm) / moments.n, tol=1e-16)
-        assert abs(val - rep.msd_network) < 1e-8
+        msd, _ = node_values(series_steady_state(vc.b, vc.y), moments)
+        assert abs(msd.mean() - rep.msd_network) < 1e-8
 
 
 def test_series_branch_equals_dense_branch():
-    # force the series route and compare against the dense solve
+    # the two independent oracles (Neumann series, dense Kronecker solve)
+    # agree with each other and with the report, node by node
     rng = np.random.default_rng(5)
     _, model, cfg, moments, vc = random_setup(rng, n=3, m=2, mu=0.04)
-    dense = performance_report(vc, moments)
-    vc_big = variance_constructs(moments, cfg)
-    vc_big.f = None
-    approx = performance_report(vc_big, moments, series_tol=1e-15)
-    assert approx.method == "series"
-    np.testing.assert_allclose(approx.msd_node, dense.msd_node, rtol=1e-8)
-    np.testing.assert_allclose(approx.emse_node, dense.emse_node, rtol=1e-8)
+    rep = performance_report(vc, moments)
+    series_msd, series_emse = node_values(series_steady_state(vc.b, vc.y), moments)
+    dense_msd, dense_emse = node_values(kronecker_steady_state(vc.b, vc.y), moments)
+    np.testing.assert_allclose(series_msd, dense_msd, rtol=1e-8)
+    np.testing.assert_allclose(series_emse, dense_emse, rtol=1e-8)
+    np.testing.assert_allclose(rep.msd_node, series_msd, rtol=1e-8)
+    np.testing.assert_allclose(rep.emse_node, series_emse, rtol=1e-8)
+
+
+def test_steady_state_rejects_inaccurate_solution(monkeypatch):
+    _, _, moments, vc = scalar_setup()
+    exact = analysis.solve_discrete_lyapunov
+    for wrong in (lambda b, y: exact(b, y) * (1 + 1e-6), lambda b, y: np.full_like(y, np.nan)):
+        monkeypatch.setattr(analysis, "solve_discrete_lyapunov", wrong)
+        with pytest.raises(InstabilityError):
+            performance_report(vc, moments)
 
 
 def test_network_msd_is_mean_of_node_msds():
@@ -189,22 +239,30 @@ def test_noncooperative_small_step_formulas():
 
 
 def test_uniform_profile_decoupled_formula():
+    # The decoupled series is the one check of the steady state that does not
+    # go through scipy's Lyapunov solver, so it also runs at (N, M) = (40, 5)
+    # with rho(B) near 1: lambda_min(R_u) = 0.5 puts rho(B) at 1 - mu / 2,
+    # i.e. 0.990 and 0.9975 for the two large cases.
     rng = np.random.default_rng(8)
-    t = graph.random_connected_topology(4, rng)
-    ru = np.array([[1.0, 0.2], [0.2, 0.7]])
-    model = EnsembleModel(
-        wo=np.array([1.0, -1.0]),
-        ru=np.tile(ru, (4, 1, 1)),
-        sigma2_v=rng.uniform(0.001, 0.01, 4),
-    )
-    a = combiners.build_combination(t, "metropolis")
-    c = combiners.build_combination(t, "metropolis")  # doubly, usable as C
-    mu = 0.05
-    cfg = general_config(a, a, c, mu)
-    moments = build_moments(model, cfg)
-    rep = performance_report(variance_constructs(moments, cfg), moments)
-    decoupled = uniform_profile_msd(a, a, c, np.diag(model.sigma2_v), ru, mu, tol=1e-16)
-    assert abs(decoupled - rep.msd_network) < 1e-8
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    ru_large = q @ np.diag([0.5, 0.7, 0.9, 1.1, 1.3]) @ q.T
+    ru_small = np.array([[1.0, 0.2], [0.2, 0.7]])
+    for n, ru, mu in [(4, ru_small, 0.05), (40, ru_large, 0.02), (40, ru_large, 0.005)]:
+        t = graph.random_connected_topology(n, rng)
+        model = EnsembleModel(
+            wo=np.linspace(-1.0, 1.0, ru.shape[0]),
+            ru=np.tile(ru, (n, 1, 1)),
+            sigma2_v=rng.uniform(0.001, 0.01, n),
+        )
+        a = combiners.build_combination(t, "metropolis")
+        c = combiners.build_combination(t, "metropolis")  # doubly, usable as C
+        cfg = general_config(a, a, c, mu)
+        moments = build_moments(model, cfg)
+        vc = variance_constructs(moments, cfg)
+        assert vc.rho_b == pytest.approx(1.0 - mu * np.linalg.eigvalsh(ru)[0], abs=1e-12)
+        rep = performance_report(vc, moments)
+        decoupled = uniform_profile_msd(a, a, c, np.diag(model.sigma2_v), ru, mu, tol=1e-16)
+        assert decoupled == pytest.approx(rep.msd_network, rel=1e-10)
 
 
 def test_learning_curve_scalar_limit():
@@ -222,6 +280,22 @@ def test_learning_curve_from_truth_is_monotone():
     assert np.all(np.diff(curve) >= -1e-15)
     rep = performance_report(vc, moments)
     assert curve[-1] <= rep.emse_network + 1e-12
+
+
+def test_learning_curve_tail_equals_steady_state_under_link_noise():
+    rng = np.random.default_rng(21)
+    t = graph.random_connected_topology(6, rng)
+    model = generate_model(rng, 6, 2)
+    a = combiners.build_combination(t, "metropolis")
+    cfg = atc_config(a, identity_combination(6, t), 0.05)
+    moments = build_moments(model, cfg)
+    lm = random_link_noise(t, 2, rng, psi_scale=1e-3, d_scale=1e-3)
+    vci = imperfect_constructs(moments, cfg, lm)
+    noisy = performance_report(vci, moments).msd_network
+    perfect = performance_report(variance_constructs(moments, cfg), moments).msd_network
+    assert noisy > 10 * perfect  # the link noise dominates the steady state
+    curve = learning_curve_theory(vci, moments, None, 3000, target=np.eye(12) / 6)
+    assert curve[-1] == pytest.approx(noisy, rel=1e-9)
 
 
 def test_learning_curve_unstable_raises():
@@ -336,7 +410,7 @@ def test_imperfect_zero_noise_degenerates_exactly():
     t, model, cfg, moments, vc = random_setup(rng, c_rule="averaging")
     vci = imperfect_constructs(moments, cfg, zero_link_noise(moments.n, moments.m))
     np.testing.assert_array_equal(vci.delta_y, np.zeros_like(vci.delta_y))
-    np.testing.assert_array_equal(vci.y_imperfect, vci.y)
+    np.testing.assert_array_equal(vci.y, vc.y)
 
 
 def test_perfect_link_z_reduces_to_ctsc():
@@ -367,9 +441,41 @@ def test_delta_y_psd_and_msd_penalty():
         vci = imperfect_constructs(moments, cfg, lm)
         min_eig = np.linalg.eigvalsh(0.5 * (vci.delta_y + vci.delta_y.T))[0]
         assert min_eig >= -1e-12
-        perfect = performance_report(vci, moments).msd_network
-        imperfect = performance_report(vci, moments, imperfect=True).msd_network
+        perfect = performance_report(variance_constructs(moments, cfg), moments).msd_network
+        imperfect = performance_report(vci, moments).msd_network
         assert imperfect >= perfect - 1e-15
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    m=st.integers(1, 3),
+    rule=st.sampled_from(["metropolis", "averaging", "relative_degree"]),
+    c_averaging=st.booleans(),
+    frac=st.floats(0.02, 0.9),
+)
+def test_steady_state_invariants(seed, n, m, rule, c_averaging, frac):
+    rng = np.random.default_rng(seed)
+    t = graph.random_connected_topology(n, rng)
+    model = generate_model(rng, n, m)
+    a = combiners.build_combination(t, rule)
+    if c_averaging:
+        c = combiners.build_combination(t, "averaging").transpose()
+    else:
+        c = identity_combination(n, t)
+    cfg = general_config(a, a, c, frac * step_size_bounds(model, c).min())
+    moments = build_moments(model, cfg)
+    vc = variance_constructs(moments, cfg)
+    assert vc.rho_b < 1.0
+    assert np.linalg.eigvalsh(vc.y)[0] >= -1e-14 * np.abs(vc.y).max()
+
+    x = analysis._steady_state(vc.b, vc.y)
+    scale = np.linalg.norm(x)
+    assert np.linalg.norm(x - x.T) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(0.5 * (x + x.T))[0] >= -1e-12 * scale
+    assert np.linalg.norm(x - vc.b @ x @ vc.b.T - vc.y) <= 1e-10 * np.linalg.norm(vc.y)
+    np.testing.assert_allclose(x, kronecker_steady_state(vc.b, vc.y), rtol=1e-9, atol=1e-12 * scale)
 
 
 def test_generic_cost_report_quadratic_specialization():
