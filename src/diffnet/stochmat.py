@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import InternalCheckError, NumericalError, PreconditionError, ValidationError
 from .graph import Topology
@@ -126,30 +125,12 @@ def is_regular(a, positive_tol: float = 1e-12) -> tuple[bool, int | None]:
     return False, None
 
 
-def spectral_radius(matrix, dense_cutoff: int = 256) -> float:
-    """Largest eigenvalue magnitude.
-
-    Uses a full eigendecomposition up to ``dense_cutoff``; beyond that, an
-    Arnoldi largest-magnitude solve.
-
-    Raises
-    ------
-    NumericalError
-        If the iterative eigensolver fails to converge.
-    """
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue magnitude, from a full dense eigendecomposition."""
     x = np.asarray(matrix, dtype=float)
-    if x.size == 0:
-        return 0.0
     if not np.all(np.isfinite(x)):
         raise PreconditionError("matrix entries must be finite")
-    n = x.shape[0]
-    if n <= dense_cutoff:
-        return float(np.abs(np.linalg.eigvals(x)).max())
-    try:
-        vals = scipy.sparse.linalg.eigs(x, k=1, which="LM", return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalError(f"spectral radius iteration did not converge: {exc}") from exc
-    return float(np.abs(vals).max())
+    return float(np.abs(np.linalg.eigvals(x)).max(initial=0.0))
 
 
 def second_eigenvalue_magnitude(a, tol: float = 1e-9) -> float:

@@ -56,8 +56,9 @@ def kronecker_steady_state(b: np.ndarray, y: np.ndarray) -> np.ndarray:
 def series_steady_state(b: np.ndarray, y: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     """Reference X = sum_k B^k Y (B')^k, summed until a term's trace is below tol.
 
-    The Neumann series of X = B X B' + Y; it converges for rho(B) < 1 and
-    shares no code with scipy's Lyapunov solver or the Kronecker system.
+    The Neumann series of X = B X B' + Y, summed term by term; it converges
+    for rho(B) < 1 and shares no code with the library's doubling or the
+    Kronecker system.
     """
     x = np.zeros_like(y)
     term = y.copy()
@@ -211,11 +212,34 @@ def test_series_branch_equals_dense_branch():
 
 def test_steady_state_rejects_inaccurate_solution(monkeypatch):
     _, _, moments, vc = scalar_setup()
-    exact = analysis.solve_discrete_lyapunov
+    exact = analysis._smith_doubling
     for wrong in (lambda b, y: exact(b, y) * (1 + 1e-6), lambda b, y: np.full_like(y, np.nan)):
-        monkeypatch.setattr(analysis, "solve_discrete_lyapunov", wrong)
+        monkeypatch.setattr(analysis, "_smith_doubling", wrong)
         with pytest.raises(InstabilityError):
             performance_report(vc, moments)
+
+
+def test_steady_state_scalar_near_unit_radius():
+    # x = b^2 x + y has x = y / (1 - b^2); b = 0.9999 needs about 2^18 series terms
+    b, y = 0.9999, 0.3
+    x = analysis._steady_state(np.array([[b]]), np.array([[y]]))
+    assert x[0, 0] == pytest.approx(y / (1.0 - b * b), rel=1e-12)
+
+
+def test_steady_state_non_normal_b_matches_kronecker_oracle():
+    # rho(B) = 0.99, but ||B^k||_2 peaks near 175 before it decays, so the
+    # doubled powers A = B^(2^j) pass through large norms on the way down
+    b = np.diag([0.99, 0.9, 0.8, 0.7]) + np.triu(np.ones((4, 4)), 1)
+    y = np.diag([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(analysis._steady_state(b, y), kronecker_steady_state(b, y), rtol=1e-10)
+
+
+@pytest.mark.parametrize("rho", [1.0001, 1.5, 1e200])
+def test_steady_state_rejects_unstable_b(rho):
+    # the series diverges, so doubling overflows and the residual check rejects it
+    b = np.diag([rho, 0.5, 0.2]) + np.triu(np.full((3, 3), 0.3), 1)
+    with pytest.raises(InstabilityError):
+        analysis._steady_state(b, np.eye(3))
 
 
 def test_network_msd_is_mean_of_node_msds():
@@ -239,10 +263,10 @@ def test_noncooperative_small_step_formulas():
 
 
 def test_uniform_profile_decoupled_formula():
-    # The decoupled series is the one check of the steady state that does not
-    # go through scipy's Lyapunov solver, so it also runs at (N, M) = (40, 5)
-    # with rho(B) near 1: lambda_min(R_u) = 0.5 puts rho(B) at 1 - mu / 2,
-    # i.e. 0.990 and 0.9975 for the two large cases.
+    # The decoupled series is the one oracle of the steady state cheap enough
+    # at (N, M) = (40, 5), so it checks the doubling there with rho(B) near 1:
+    # lambda_min(R_u) = 0.5 puts rho(B) at 1 - mu / 2, i.e. 0.990 and 0.9975
+    # for the two large cases.
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     ru_large = q @ np.diag([0.5, 0.7, 0.9, 1.1, 1.3]) @ q.T

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffnet
 from diffnet import cli
 
 
@@ -203,3 +208,33 @@ def test_unstable_config_still_simulates(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stable_ms"] is False
     assert summary["diverged_trials"] >= 1
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's diffnet."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diffnet.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_diffnet_runs_cli(tmp_path):
+    out_in, out_sub = tmp_path / "in_process", tmp_path / "subprocess"
+    cfg_in = write_config(tmp_path, base_config(out_in), "in.json")
+    assert cli.main(["analyze", "--config", cfg_in]) == 0
+    cfg_sub = write_config(tmp_path, base_config(out_sub), "sub.json")
+    proc = _run_python("-m", "diffnet", "analyze", "--config", cfg_sub)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert (out_sub / "theory.json").read_bytes() == (out_in / "theory.json").read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would dominate start-up time
+    proc = _run_python(
+        "-c",
+        "import sys, diffnet, diffnet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
