@@ -15,7 +15,8 @@ covariance X of the small-step variance relation
     X = B X B' + Y,
 
 a discrete Lyapunov equation solved by Smith's doubling of its series
-sum_k B^k Y (B')^k and accepted only when its relative residual is small.
+sum_k B^k Y (B')^k and accepted only when its residual is small against the
+scale of Y and of B X B'.
 Node k's MSD is Tr(X_kk) and its EMSE is Tr(X_kk R_{u,k}), with X_kk the
 k-th diagonal M x M block.
 """
@@ -181,16 +182,21 @@ def _smith_doubling(b: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _steady_state(b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X with X = B X B' + Y, by Smith doubling with a residual check.
 
-    Raises InstabilityError when ||X - B X B' - Y||_F exceeds 1e-8 ||Y||_F,
-    which covers a diverged run, one cut at the iteration cap and an inaccurate one.
+    Raises InstabilityError when X is not finite or ||X - B X B' - Y||_F
+    exceeds 1e-8 (||Y||_F + ||B||_F^2 ||X||_F), which covers a diverged run,
+    one cut at the iteration cap and an inaccurate one.  The ||B||^2 ||X||
+    term is the scale of the rounding in B X B' itself, which dominates when
+    B has large transient growth and ||X|| >> ||Y||.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run fails the check below
         x = _smith_doubling(b, y)
         residual = np.linalg.norm(x - b @ x @ b.T - y)
-    y_norm = np.linalg.norm(y)
-    if not residual <= 1e-8 * y_norm:
+        x_norm, y_norm = np.linalg.norm(x), np.linalg.norm(y)
+        bound = 1e-8 * (y_norm + np.linalg.norm(b) ** 2 * x_norm)
+    if not (np.isfinite(x_norm) and residual <= bound):
         raise InstabilityError(
-            f"Lyapunov solve inaccurate: ||X - B X B' - Y|| = {residual:.3g}, ||Y|| = {y_norm:.3g}"
+            f"Lyapunov solve inaccurate: ||X - B X B' - Y|| = {residual:.3g}, "
+            f"||Y|| = {y_norm:.3g}, ||X|| = {x_norm:.3g}"
         )
     return x
 
@@ -201,8 +207,8 @@ def performance_report(
     """Steady-state network and per-node MSD/EMSE.
 
     Solves the variance relation X = B X B' + Y for the steady-state error
-    covariance X by Smith doubling, raising InstabilityError when the
-    relative residual exceeds 1e-8, and reads node k's MSD Tr(X_kk) and EMSE
+    covariance X by Smith doubling, raising InstabilityError when its
+    residual check fails, and reads node k's MSD Tr(X_kk) and EMSE
     Tr(X_kk R_{u,k}) off its diagonal blocks.  An unstable configuration
     (rho(B) >= 1) yields a report flagged unstable with NaN metrics rather
     than an exception.

@@ -452,14 +452,10 @@ def cmd_rls(args) -> int:
         c_states = rls.init_crls_states(t.n, model.m, delta)
         for i in range(iters):
             snap = sample_snapshot(model, rng)
-            d_states = rls.drls_step(d_states, t, a, c, snap)
-            c_states = rls.crls_step(c_states, t, c, snap)
-            curves["drls"][i] += sum(
-                float(((s.w - model.wo) ** 2).sum()) for s in d_states
-            ) / t.n
-            curves["crls"][i] += sum(
-                float(((s.psi - model.wo) ** 2).sum()) for s in c_states
-            ) / t.n
+            d_states = rls.drls_step(d_states, a, c, snap)
+            c_states = rls.crls_step(c_states, c, snap)
+            curves["drls"][i] += ((d_states.w - model.wo) ** 2).sum() / t.n
+            curves["crls"][i] += ((c_states.psi - model.wo) ** 2).sum() / t.n
     for key in curves:
         curves[key] /= config.trials
 
@@ -510,20 +506,14 @@ def cmd_kalman(args) -> int:
         xs, ys = kalman.simulate_state_trajectory(model, iters, rng)
         d_states = kalman.init_kf_states(model)
         c_states = kalman.init_kf_states(model)
-        central = kalman.KfNodeState(
-            x_pred=np.zeros(model.state_dim), p_pred=model.pi0.copy()
-        )
+        central = kalman.KfState(x_pred=np.zeros(model.state_dim), p_pred=model.pi0.copy())
         for i in range(iters):
-            d_states = kalman.dkf_tm_step(d_states, t, a, model, ys[i], i)
-            c_states = kalman.ckf_step(c_states, t, model, ys[i], epsilon, i)
-            central = kalman.centralized_kf_step(central, model, ys[i], i)
-            msd["diffusion"][i] += sum(
-                float(((s.x_filt - xs[i]) ** 2).sum()) for s in d_states
-            ) / t.n
-            msd["consensus"][i] += sum(
-                float(((s.x_filt - xs[i]) ** 2).sum()) for s in c_states
-            ) / t.n
-            msd["central"][i] += float(((central.x_filt - xs[i]) ** 2).sum())
+            d_states = kalman.dkf_tm_step(d_states, t, a, model, ys[i])
+            c_states = kalman.ckf_step(c_states, t, model, ys[i], epsilon)
+            central = kalman.centralized_kf_step(central, model, ys[i])
+            msd["diffusion"][i] += ((d_states.x_filt - xs[i]) ** 2).sum() / t.n
+            msd["consensus"][i] += ((c_states.x_filt - xs[i]) ** 2).sum() / t.n
+            msd["central"][i] += ((central.x_filt - xs[i]) ** 2).sum()
     for key in msd:
         msd[key] /= config.trials
 

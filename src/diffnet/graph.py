@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,40 @@ class Topology:
         """Distinct-node edges as sorted (low, high) pairs, lexicographic order."""
         lo, hi = np.nonzero(np.triu(self.adjacency, k=1))
         return list(zip(lo.tolist(), hi.tolist()))
+
+    @cached_property
+    def neighborhood_sum(self) -> "NeighborSum":
+        """``out[k] = sum of values[l] over l in N_k``."""
+        return NeighborSum(self.adjacency | np.eye(self.n, dtype=bool))
+
+
+class NeighborSum:
+    """``out[k] = sum_l w[l, k] * values[l]`` for one fixed (N, N) weight matrix.
+
+    The nonzero weights form a destination-sorted edge list, reduced with
+    ``np.add.reduceat`` in a fixed order, so results repeat bit for bit.
+    ``values[l]`` is never read for a zero weight, so data a node does not
+    receive cannot reach it, not even as NaN.  A node with no nonzero weight
+    gets zeros.
+    """
+
+    def __init__(self, weights):
+        wt = np.asarray(weights, dtype=float).T
+        dst, self._src = np.nonzero(wt)
+        counts = np.count_nonzero(wt, axis=1)
+        self._weights = wt[dst, self._src]
+        self._received = counts > 0
+        self._every_node = bool(self._received.all())
+        self._starts = (np.cumsum(counts) - counts)[self._received]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        terms = self._weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values[self._src]
+        if self._every_node:
+            return np.add.reduceat(terms, self._starts, axis=0)
+        out = np.zeros((self._received.size,) + values.shape[1:])
+        out[self._received] = np.add.reduceat(terms, self._starts, axis=0)
+        return out
 
 
 @dataclass(frozen=True)

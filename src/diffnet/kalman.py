@@ -1,10 +1,18 @@
-"""Diffusion Kalman filtering: time/measurement and information forms, the
-consensus combination baseline, and a centralized oracle.
+"""Diffusion Kalman filtering, the consensus combination baseline, and a
+centralized oracle, on node states stacked over the network.
 
-Every node runs a local filter over its neighborhood's measurements and then
-combines intermediate state estimates.  The carried P matrices follow the
-classical update algebra but are not error covariances once combination
-weights enter; they are kept symmetric explicitly.
+A node state is stacked over the N nodes: estimates are (N, n) arrays and
+the carried P matrices (N, n, n).  Every step runs one batched kernel,
+:func:`measurement_update`, which folds each node's neighborhood information
+into its prediction; diffusion RLS (:mod:`diffnet.rls`) runs the same kernel,
+since exponentially weighted RLS is a Kalman filter with F = lambda^-1/2 I
+and Q = 0.  Neighborhood sums (:class:`diffnet.graph.NeighborSum`) visit only
+nonzero weights, so a node never reads data it does not receive.
+
+The carried P matrices follow the classical update algebra but are not error
+covariances once combination weights enter; they are kept symmetric
+explicitly.  The per-node time/measurement and information forms that the
+kernel replaced are the test oracles in ``tests/filter_oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, ValidationError
-from .graph import Topology
+from .graph import NeighborSum, Topology
 
 
 @dataclass(frozen=True)
@@ -23,8 +31,8 @@ class StateSpaceModel:
 
     ``x_{i+1} = F x_i + G n_i`` with per-node measurements
     ``y_k = H_k x + v_k``; measurement covariances must be positive-definite.
-    Time-varying systems supply ``providers`` callbacks keyed by the step
-    index; constant matrices are the default.
+    The derived stacks ``rinv_h`` (R_k^-1 H_k), ``info`` (H_k' R_k^-1 H_k)
+    and ``r_chol`` (Cholesky factors of R_k) are computed once here.
     """
 
     f: np.ndarray  # (n, n)
@@ -33,7 +41,9 @@ class StateSpaceModel:
     q: np.ndarray  # (q, q) process noise covariance
     r: np.ndarray  # (N, p, p) measurement noise covariances
     pi0: np.ndarray  # (n, n) initial state covariance
-    providers: dict = field(default_factory=dict, repr=False)
+    rinv_h: np.ndarray = field(init=False, repr=False)  # (N, p, n)
+    info: np.ndarray = field(init=False, repr=False)  # (N, n, n)
+    r_chol: np.ndarray = field(init=False, repr=False)  # (N, p, p)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -47,9 +57,10 @@ class StateSpaceModel:
             raise ValidationError("inconsistent state dimensions")
         if h.ndim != 3 or h.shape[2] != n or r.shape != (h.shape[0], h.shape[1], h.shape[1]):
             raise ValidationError("inconsistent measurement dimensions")
+        r_chol = np.empty_like(r)
         for k in range(r.shape[0]):
             try:
-                np.linalg.cholesky(r[k])
+                r_chol[k] = np.linalg.cholesky(r[k])
             except np.linalg.LinAlgError as exc:
                 raise ValidationError(f"R[{k}] must be positive-definite") from exc
         try:
@@ -58,7 +69,10 @@ class StateSpaceModel:
             raise ValidationError("pi0 must be positive-definite") from exc
         if np.linalg.eigvalsh(0.5 * (qm + qm.T))[0] < -1e-12:
             raise ValidationError("process covariance must be nonnegative-definite")
-        for name, val in (("f", f), ("g", g), ("h", h), ("q", qm), ("r", r), ("pi0", pi0)):
+        rinv_h = np.linalg.solve(r, h)
+        info = h.transpose(0, 2, 1) @ rinv_h
+        for name, val in (("f", f), ("g", g), ("h", h), ("q", qm), ("r", r), ("pi0", pi0),
+                          ("rinv_h", rinv_h), ("info", info), ("r_chol", r_chol)):
             object.__setattr__(self, name, val)
 
     @property
@@ -73,25 +87,14 @@ class StateSpaceModel:
     def meas_dim(self) -> int:
         return self.h.shape[1]
 
-    def f_at(self, i: int) -> np.ndarray:
-        return self.providers["f"](i) if "f" in self.providers else self.f
-
-    def g_at(self, i: int) -> np.ndarray:
-        return self.providers["g"](i) if "g" in self.providers else self.g
-
-    def q_at(self, i: int) -> np.ndarray:
-        return self.providers["q"](i) if "q" in self.providers else self.q
-
-    def h_at(self, k: int, i: int) -> np.ndarray:
-        return self.providers["h"](k, i) if "h" in self.providers else self.h[k]
-
-    def r_at(self, k: int, i: int) -> np.ndarray:
-        return self.providers["r"](k, i) if "r" in self.providers else self.r[k]
-
 
 @dataclass
-class KfNodeState:
-    """Predicted and filtered estimates carried by one node."""
+class KfState:
+    """Predicted and filtered estimates.
+
+    The distributed filters stack every field over the nodes ((N, n) and
+    (N, n, n)); the centralized filter carries one (n,) and (n, n) set.
+    """
 
     x_pred: np.ndarray
     p_pred: np.ndarray
@@ -100,168 +103,102 @@ class KfNodeState:
     psi: np.ndarray | None = None
 
 
-def init_kf_states(model: StateSpaceModel):
+def init_kf_states(model: StateSpaceModel) -> KfState:
     """Zero initial prediction with covariance pi0 at every node."""
-    return [
-        KfNodeState(x_pred=np.zeros(model.state_dim), p_pred=model.pi0.copy())
-        for _ in range(model.n_nodes)
-    ]
+    n_nodes, n = model.n_nodes, model.state_dim
+    return KfState(x_pred=np.zeros((n_nodes, n)), p_pred=np.tile(model.pi0, (n_nodes, 1, 1)))
 
 
 def _sym(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
-def _time_update(model, i, x_filt, p_filt):
-    fi = model.f_at(i)
-    gi = model.g_at(i)
-    qi = model.q_at(i)
-    return fi @ x_filt, _sym(fi @ p_filt @ fi.T + gi @ qi @ gi.T)
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return (mats @ vecs[..., None])[..., 0]
 
 
-def dkf_tm_step(states, t: Topology, a, model: StateSpaceModel, y, i: int = 0):
-    """Time/measurement-form diffusion Kalman step.
+def measurement_update(x, p, s_bar, r_bar):
+    """Fold neighborhood information into every node's prediction.
 
-    Per node: sequential neighbor measurement updates (ascending index) with
-    innovation covariance ``Re = R_l + H_l P H_l'``, then diffusion of the
-    intermediate estimates through A, then the time update.
+    With S_k = sum_l w_lk S_l and r_k = sum_l w_lk r_l, returns
+    ``psi = x + P_f (r - S x)`` and ``P_f = (I + P S)^-1 P``, symmetrized,
+    both from one solve with I + P S: the covariance form of the information
+    update ``P_f^-1 = P^-1 + S``, which needs no P^-1 and so accepts a
+    singular P.  The correction of psi is an extra right-hand column of that
+    solve rather than a product with the rounded P_f, which keeps early,
+    ill-conditioned RLS steps accurate.  Raises NumericalError when I + P S
+    is singular.
     """
-    a_e = a.entries if hasattr(a, "entries") else np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    psis = []
-    ps = []
-    for k in range(t.n):
-        st = states[k]
-        psi = st.x_pred.copy()
-        p = st.p_pred.copy()
-        for l in t.neighborhoods[k]:
-            hl = model.h_at(l, i)
-            re = model.r_at(l, i) + hl @ p @ hl.T
-            try:
-                re_chol = np.linalg.cholesky(_sym(re))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"innovation covariance not PD at node {k}") from exc
-            gain = np.linalg.solve(re_chol.T, np.linalg.solve(re_chol, hl @ p)).T
-            psi = psi + gain @ (y[l] - hl @ psi)
-            p = _sym(p - gain @ hl @ p)
-        psis.append(psi)
-        ps.append(p)
-    out = []
-    for k in range(t.n):
-        x_filt = sum(a_e[l, k] * psis[l] for l in t.neighborhoods[k] if a_e[l, k] != 0.0)
-        x_pred, p_pred = _time_update(model, i, x_filt, ps[k])
-        out.append(
-            KfNodeState(x_pred=x_pred, p_pred=p_pred, x_filt=np.asarray(x_filt),
-                        p_filt=ps[k], psi=psis[k])
-        )
-    return out
+    eye = np.eye(x.shape[-1])
+    rhs = np.concatenate([p, _matvec(p, r_bar - _matvec(s_bar, x))[..., None]], axis=-1)
+    try:
+        sol = np.linalg.solve(eye + p @ s_bar, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular measurement update: {exc}") from exc
+    return x + sol[..., -1], _sym(sol[..., :-1])
 
 
-def dkf_info_step(states, t: Topology, a, model: StateSpaceModel, y, i: int = 0):
-    """Information-form diffusion Kalman step.
+def _time_update(model: StateSpaceModel, psi, x_filt, p_filt) -> KfState:
+    f, g = model.f, model.g
+    return KfState(x_pred=x_filt @ f.T, p_pred=_sym(f @ p_filt @ f.T + g @ model.q @ g.T),
+                   x_filt=x_filt, p_filt=p_filt, psi=psi)
 
-    Aggregates neighborhood information ``S_k = sum H'R^-1 H`` and
-    ``q_k = sum H'R^-1 y``; needs an invertible predicted covariance, which
-    invertible F guarantees.
+
+def _local_update(states: KfState, t: Topology, model: StateSpaceModel, y):
+    """Every node's measurement update over its whole neighborhood N_k."""
+    r = np.einsum("kpn,kp->kn", model.rinv_h, np.asarray(y, dtype=float))
+    nsum = t.neighborhood_sum
+    return measurement_update(states.x_pred, states.p_pred, nsum(model.info), nsum(r))
+
+
+def dkf_tm_step(states: KfState, t: Topology, a, model: StateSpaceModel, y) -> KfState:
+    """Diffusion Kalman step for every node.
+
+    Each node updates its prediction with all measurements of N_k, the nodes
+    combine the intermediate estimates through the columns of A (a
+    CombinationMatrix), and the time update propagates the combined estimate
+    with the node's own P_f.
     """
-    a_e = a.entries if hasattr(a, "entries") else np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    psis = []
-    ps = []
-    for k in range(t.n):
-        st = states[k]
-        sk = np.zeros((model.state_dim, model.state_dim))
-        qk = np.zeros(model.state_dim)
-        for l in t.neighborhoods[k]:
-            hl = model.h_at(l, i)
-            rl_inv_h = np.linalg.solve(model.r_at(l, i), hl)
-            sk += hl.T @ rl_inv_h
-            qk += rl_inv_h.T @ y[l]
-        try:
-            p_pred_inv = np.linalg.inv(st.p_pred)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular predicted covariance at node {k}") from exc
-        p_filt = _sym(np.linalg.inv(_sym(p_pred_inv + sk)))
-        psi = st.x_pred + p_filt @ (qk - sk @ st.x_pred)
-        psis.append(psi)
-        ps.append(p_filt)
-    out = []
-    for k in range(t.n):
-        x_filt = sum(a_e[l, k] * psis[l] for l in t.neighborhoods[k] if a_e[l, k] != 0.0)
-        x_pred, p_pred = _time_update(model, i, x_filt, ps[k])
-        out.append(
-            KfNodeState(x_pred=x_pred, p_pred=p_pred, x_filt=np.asarray(x_filt),
-                        p_filt=ps[k], psi=psis[k])
-        )
-    return out
+    psi, p_filt = _local_update(states, t, model, y)
+    return _time_update(model, psi, a.neighbor_sum(psi), p_filt)
 
 
-def ckf_combine(psis, t: Topology, epsilon: float):
-    """Consensus combination: weight (1 + eps - n_k eps) on the node's own
-    intermediate estimate and eps on each neighbor's.
+def ckf_combine(psis, t: Topology, epsilon: float) -> np.ndarray:
+    """Consensus combination of stacked intermediate estimates: weight
+    (1 + eps - n_k eps) on the node's own estimate and eps on each neighbor's.
 
     The weights sum to one by construction; eps must be small enough that no
     self-weight goes negative.
     """
-    psis = np.asarray(psis, dtype=float)
     self_w = 1.0 + epsilon - t.degrees * epsilon
     if np.any(self_w < 0):
         raise PreconditionError(
             f"epsilon={epsilon} gives a negative self-weight (max degree {t.max_degree})"
         )
-    out = np.empty_like(psis)
-    for k in range(t.n):
-        x = self_w[k] * psis[k]
-        for l in t.neighborhoods[k]:
-            if l != k:
-                x = x + epsilon * psis[l]
-        out[k] = x
-    return out
+    weights = np.where(t.adjacency, epsilon, 0.0)
+    np.fill_diagonal(weights, self_w)
+    return NeighborSum(weights)(psis)
 
 
-def ckf_step(states, t: Topology, model: StateSpaceModel, y, epsilon: float, i: int = 0):
-    """Consensus-Kalman baseline: information-form incremental update
-    followed by the epsilon combination instead of the diffusion weights."""
-    y = np.asarray(y, dtype=float)
-    psis = []
-    ps = []
-    for k in range(t.n):
-        st = states[k]
-        sk = np.zeros((model.state_dim, model.state_dim))
-        qk = np.zeros(model.state_dim)
-        for l in t.neighborhoods[k]:
-            hl = model.h_at(l, i)
-            rl_inv_h = np.linalg.solve(model.r_at(l, i), hl)
-            sk += hl.T @ rl_inv_h
-            qk += rl_inv_h.T @ y[l]
-        p_pred_inv = np.linalg.inv(st.p_pred)
-        p_filt = _sym(np.linalg.inv(_sym(p_pred_inv + sk)))
-        psi = st.x_pred + p_filt @ (qk - sk @ st.x_pred)
-        psis.append(psi)
-        ps.append(p_filt)
-    combined = ckf_combine(psis, t, epsilon)
-    out = []
-    for k in range(t.n):
-        x_pred, p_pred = _time_update(model, i, combined[k], ps[k])
-        out.append(
-            KfNodeState(x_pred=x_pred, p_pred=p_pred, x_filt=combined[k],
-                        p_filt=ps[k], psi=psis[k])
-        )
-    return out
+def ckf_step(states: KfState, t: Topology, model: StateSpaceModel, y, epsilon: float) -> KfState:
+    """Consensus-Kalman baseline: the same neighborhood update followed by
+    the epsilon combination instead of the diffusion weights."""
+    psi, p_filt = _local_update(states, t, model, y)
+    return _time_update(model, psi, ckf_combine(psi, t, epsilon), p_filt)
 
 
-def centralized_kf_step(state: KfNodeState, model: StateSpaceModel, y, i: int = 0) -> KfNodeState:
+def centralized_kf_step(state: KfState, model: StateSpaceModel, y) -> KfState:
     """Classical covariance-form filter over all nodes' stacked measurements.
 
     Performance oracle: its tracking error lower-bounds every distributed
     variant, and for N = 1 it coincides with the diffusion filters.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    h = np.concatenate([model.h_at(k, i) for k in range(model.n_nodes)], axis=0)
-    p_dim = model.meas_dim
-    r = np.zeros((h.shape[0], h.shape[0]))
-    for k in range(model.n_nodes):
-        r[k * p_dim : (k + 1) * p_dim, k * p_dim : (k + 1) * p_dim] = model.r_at(k, i)
+    n_nodes, p_dim = model.n_nodes, model.meas_dim
+    h = model.h.reshape(n_nodes * p_dim, model.state_dim)
+    r = np.zeros((n_nodes, p_dim, n_nodes, p_dim))
+    r[np.arange(n_nodes), :, np.arange(n_nodes), :] = model.r
+    r = r.reshape(n_nodes * p_dim, n_nodes * p_dim)
     re = _sym(r + h @ state.p_pred @ h.T)
     try:
         re_chol = np.linalg.cholesky(re)
@@ -270,29 +207,26 @@ def centralized_kf_step(state: KfNodeState, model: StateSpaceModel, y, i: int = 
     gain = np.linalg.solve(re_chol.T, np.linalg.solve(re_chol, h @ state.p_pred)).T
     x_filt = state.x_pred + gain @ (y - h @ state.x_pred)
     p_filt = _sym(state.p_pred - gain @ h @ state.p_pred)
-    x_pred, p_pred = _time_update(model, i, x_filt, p_filt)
-    return KfNodeState(x_pred=x_pred, p_pred=p_pred, x_filt=x_filt, p_filt=p_filt, psi=x_filt)
+    return _time_update(model, x_filt, x_filt, p_filt)
 
 
 def simulate_state_trajectory(model: StateSpaceModel, steps: int, rng):
     """Sample a state trajectory and per-node measurements.
 
     Returns ``(xs, ys)`` with shapes (steps, n) and (steps, N, p); the state
-    sequence starts from a draw with covariance pi0.
+    sequence starts from a draw with covariance pi0.  Step i draws the N
+    measurement noises and then the process noise, in that order.
     """
-    n = model.state_dim
+    n, n_nodes, p_dim = model.state_dim, model.n_nodes, model.meas_dim
     x = np.linalg.cholesky(model.pi0) @ rng.standard_normal(n)
     q_chol = _psd_chol(model.q)
+    noise = rng.standard_normal((steps, n_nodes * p_dim + model.q.shape[0]))
+    v, w = noise[:, : n_nodes * p_dim].reshape(steps, n_nodes, p_dim), noise[:, n_nodes * p_dim :]
     xs = np.empty((steps, n))
-    ys = np.empty((steps, model.n_nodes, model.meas_dim))
     for i in range(steps):
         xs[i] = x
-        for k in range(model.n_nodes):
-            rk = model.r_at(k, i)
-            ys[i, k] = model.h_at(k, i) @ x + np.linalg.cholesky(rk) @ rng.standard_normal(
-                model.meas_dim
-            )
-        x = model.f_at(i) @ x + model.g_at(i) @ (q_chol @ rng.standard_normal(model.q.shape[0]))
+        x = model.f @ x + model.g @ (q_chol @ w[i])
+    ys = _matvec(model.h, xs[:, None, :]) + _matvec(model.r_chol, v)
     return xs, ys
 
 

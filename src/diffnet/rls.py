@@ -1,43 +1,47 @@
-"""Diffusion recursive least-squares in both published forms, plus the
-consensus-based baseline.
+"""Diffusion recursive least-squares and the consensus-based baseline, on
+node states stacked over the network.
 
-The rank-one form cycles through neighborhood data and then combines
-intermediate estimates; the inverse form carries (P^-1, q) explicitly.  Both
-compute the same iterates.  Neighbor visits run in ascending node index: the
-end-of-loop result is order-independent in exact arithmetic, but a fixed
-order makes runs reproducible bit for bit.
+Estimates are (N, M) arrays and inverse-information matrices (N, M, M); one
+call advances every node.  Diffusion RLS runs the batched measurement update
+of :mod:`diffnet.kalman` (exponentially weighted RLS is a Kalman filter with
+F = lambda^-1/2 I and Q = 0) on the C-weighted neighborhood data, then
+combines through A.  Consensus RLS averages the information pairs
+(P^-1 + u u', q + d u) with C and solves for every node in one call.
+Neighborhood sums (:class:`diffnet.graph.NeighborSum`) visit only nonzero
+weights, so a node never reads data it does not receive.
+
+The per-node rank-one and inverse forms that the kernel replaced are the
+test oracles in ``tests/filter_oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import Snapshot
 from .errors import NumericalError, ValidationError
 from .graph import Topology
+from .kalman import measurement_update
 
 DELTA_DEFAULT = 1e4
 LAMBDA_DEFAULT = 0.995
 
-# symmetry drift beyond this is reported by symmetrize()
-SYM_TOL = 1e-9
-
 
 @dataclass
-class RlsNodeState:
-    """Per-node estimate and inverse-information matrix.
+class RlsState:
+    """Stacked estimates and inverse-information matrices of every node.
 
     ``w`` is the post-combination estimate, ``psi`` the intermediate one.
-    ``P`` stays symmetric positive-definite; every update re-symmetrizes it
-    against floating-point drift.
+    Every ``p[k]`` stays symmetric positive-definite; every update
+    re-symmetrizes it against floating-point drift.
     """
 
-    w: np.ndarray  # (M,)
-    p: np.ndarray  # (M, M)
+    w: np.ndarray  # (N, M)
+    p: np.ndarray  # (N, M, M)
     lam: float
-    psi: np.ndarray | None = None
+    psi: np.ndarray  # (N, M)
 
 
 def init_states(n: int, m: int, lam: float = LAMBDA_DEFAULT, delta: float = DELTA_DEFAULT):
@@ -46,15 +50,8 @@ def init_states(n: int, m: int, lam: float = LAMBDA_DEFAULT, delta: float = DELT
         raise ValidationError("forgetting factor must lie in (0, 1]")
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    return [
-        RlsNodeState(w=np.zeros(m), p=delta * np.eye(m), lam=lam, psi=np.zeros(m))
-        for _ in range(n)
-    ]
-
-
-def _symmetrize(p: np.ndarray) -> tuple[np.ndarray, float]:
-    drift = float(np.abs(p - p.T).max(initial=0.0))
-    return 0.5 * (p + p.T), drift
+    return RlsState(w=np.zeros((n, m)), p=np.tile(delta * np.eye(m), (n, 1, 1)), lam=lam,
+                    psi=np.zeros((n, m)))
 
 
 def _check_spd(p: np.ndarray):
@@ -64,132 +61,58 @@ def _check_spd(p: np.ndarray):
         raise NumericalError(f"P lost positive definiteness: {exc}") from exc
 
 
-def drls_step(states, t: Topology, a, c, snapshot: Snapshot):
-    """Rank-one diffusion RLS step.
-
-    Per node: scale P by 1/lambda, then for each neighbor l (ascending) apply
-    the scalar-gain update with weight c_lk, then combine the neighborhood's
-    intermediate estimates through the columns of A.
-    """
-    a_e = a.entries if hasattr(a, "entries") else np.asarray(a, dtype=float)
-    c_e = c.entries if hasattr(c, "entries") else np.asarray(c, dtype=float)
-    n = t.n
+def _data_information(snapshot: Snapshot):
+    """Each node's own data as information: (u_l u_l', d_l u_l)."""
     u, d = snapshot.u, snapshot.d
-    psis = []
-    new_ps = []
-    for k in range(n):
-        st = states[k]
-        psi = st.w.copy()
-        p = st.p / st.lam
-        for l in t.neighborhoods[k]:
-            clk = c_e[l, k]
-            if clk == 0.0:
-                continue
-            ul = u[l]
-            pu = p @ ul
-            denom = 1.0 + clk * (ul @ pu)
-            if denom <= 0.0:
-                raise NumericalError(f"nonpositive gain denominator at node {k}")
-            gain = (clk / denom) * pu
-            psi = psi + gain * (d[l] - ul @ psi)
-            p = p - np.outer(gain, pu)
-        p, _ = _symmetrize(p)
-        _check_spd(p)
-        psis.append(psi)
-        new_ps.append(p)
-    out = []
-    for k in range(n):
-        w = sum(a_e[l, k] * psis[l] for l in t.neighborhoods[k] if a_e[l, k] != 0.0)
-        out.append(RlsNodeState(w=np.asarray(w), p=new_ps[k], lam=states[k].lam, psi=psis[k]))
-    return out
+    return u[:, :, None] * u[:, None, :], d[:, None] * u
 
 
-def drls_alt_step(states, t: Topology, a, c, snapshot: Snapshot):
-    """Inverse-form diffusion RLS step; algebraically equal to drls_step.
+def drls_step(states: RlsState, a, c, snapshot: Snapshot) -> RlsState:
+    """Diffusion RLS step for every node.
 
-    Combines the previous intermediate estimates first, then updates
-    (P^-1, q) with the neighborhood data and recovers psi = P q.
+    Node k scales P by 1/lambda and folds in the data of every l with
+    c_lk != 0, weighted by c_lk; the nodes then combine their intermediate
+    estimates through the columns of A.  ``a`` and ``c`` are
+    CombinationMatrix instances.
     """
-    a_e = a.entries if hasattr(a, "entries") else np.asarray(a, dtype=float)
-    c_e = c.entries if hasattr(c, "entries") else np.asarray(c, dtype=float)
-    n = t.n
-    u, d = snapshot.u, snapshot.d
-    out = []
-    for k in range(n):
-        st = states[k]
-        w = sum(a_e[l, k] * states[l].psi for l in t.neighborhoods[k] if a_e[l, k] != 0.0)
-        try:
-            pinv_prev = np.linalg.inv(st.p)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular P at node {k}: {exc}") from exc
-        pinv = st.lam * pinv_prev
-        q = st.lam * (pinv_prev @ w)
-        for l in t.neighborhoods[k]:
-            clk = c_e[l, k]
-            if clk == 0.0:
-                continue
-            pinv = pinv + clk * np.outer(u[l], u[l])
-            q = q + clk * d[l] * u[l]
-        try:
-            p = np.linalg.inv(pinv)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular P^-1 at node {k}: {exc}") from exc
-        p, _ = _symmetrize(p)
-        psi = p @ q
-        out.append(RlsNodeState(w=w, p=p, lam=st.lam, psi=psi))
-    # report the post-combination estimate of this step alongside psi
-    for k in range(n):
-        out[k] = replace(
-            out[k],
-            w=sum(a_e[l, k] * out[l].psi for l in t.neighborhoods[k] if a_e[l, k] != 0.0),
-        )
-    return out
+    s, r = _data_information(snapshot)
+    psi, p = measurement_update(
+        states.w, states.p / states.lam, c.neighbor_sum(s), c.neighbor_sum(r)
+    )
+    _check_spd(p)
+    return RlsState(w=a.neighbor_sum(psi), p=p, lam=states.lam, psi=psi)
 
 
 @dataclass
-class CrlsNodeState:
-    """Consensus-RLS carries the information pair (P^-1, q) across links."""
+class CrlsState:
+    """Consensus-RLS carries the information pairs (P^-1, q) across links."""
 
-    pinv: np.ndarray
-    q: np.ndarray
-    psi: np.ndarray
+    pinv: np.ndarray  # (N, M, M)
+    q: np.ndarray  # (N, M)
+    psi: np.ndarray  # (N, M)
 
 
 def init_crls_states(n: int, m: int, delta: float = DELTA_DEFAULT):
-    return [
-        CrlsNodeState(pinv=np.eye(m) / delta, q=np.zeros(m), psi=np.zeros(m))
-        for _ in range(n)
-    ]
+    return CrlsState(pinv=np.tile(np.eye(m) / delta, (n, 1, 1)), q=np.zeros((n, m)),
+                     psi=np.zeros((n, m)))
 
 
-def crls_step(states, t: Topology, c, snapshot: Snapshot):
+def crls_step(states: CrlsState, c, snapshot: Snapshot) -> CrlsState:
     """Consensus-based RLS step (unit forgetting regime).
 
     Each node averages its neighbors' information pairs together with their
     fresh data outer products.  Sharing (P^-1, q) costs substantially more
     communication than diffusion RLS; see :func:`crls_comm_scalars`.
     """
-    c_e = c.entries if hasattr(c, "entries") else np.asarray(c, dtype=float)
-    n = t.n
-    u, d = snapshot.u, snapshot.d
-    m = u.shape[1]
-    out = []
-    for k in range(n):
-        pinv = np.zeros((m, m))
-        q = np.zeros(m)
-        for l in t.neighborhoods[k]:
-            clk = c_e[l, k]
-            if clk == 0.0:
-                continue
-            pinv = pinv + clk * (states[l].pinv + np.outer(u[l], u[l]))
-            q = q + clk * (states[l].q + d[l] * u[l])
-        pinv, _ = _symmetrize(pinv)
-        try:
-            psi = np.linalg.solve(pinv, q)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular information matrix at node {k}: {exc}") from exc
-        out.append(CrlsNodeState(pinv=pinv, q=q, psi=psi))
-    return out
+    s, r = _data_information(snapshot)
+    pinv = c.neighbor_sum(states.pinv + s)
+    pinv = 0.5 * (pinv + pinv.transpose(0, 2, 1))
+    q = c.neighbor_sum(states.q + r)
+    try:
+        psi = np.linalg.solve(pinv, q[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular information matrix: {exc}") from exc
+    return CrlsState(pinv=pinv, q=q, psi=psi)
 
 
 def drls_comm_scalars(t: Topology, m: int) -> np.ndarray:

@@ -10,11 +10,12 @@ only when ``l`` is a neighbor of ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalCheckError, NumericalError, PreconditionError, ValidationError
-from .graph import Topology
+from .graph import NeighborSum, Topology
 
 LEFT = "left"
 RIGHT = "right"
@@ -67,6 +68,19 @@ class CombinationMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def neighbor_sum(self) -> NeighborSum:
+        """``out[k] = sum_l a_lk values[l]`` over the nonzero entries.
+
+        With ``supported_on`` set, entries outside the neighborhoods (at most
+        ``tol`` in size) are dropped, so node k reads only l in N_k.
+        """
+        entries = self.entries
+        if self.supported_on is not None:
+            t = self.supported_on
+            entries = np.where(t.adjacency | np.eye(t.n, dtype=bool), entries, 0.0)
+        return NeighborSum(entries)
 
     def transpose(self) -> "CombinationMatrix":
         """Transposed matrix with the kind mapped left <-> right."""

@@ -234,6 +234,18 @@ def test_steady_state_non_normal_b_matches_kronecker_oracle():
     np.testing.assert_allclose(analysis._steady_state(b, y), kronecker_steady_state(b, y), rtol=1e-10)
 
 
+def test_steady_state_accepts_accurate_x_under_large_transient_growth():
+    # rho(B) = 0.99 with off-diagonal entries up to 3 gives ||X|| ~ 6e8 ||Y||;
+    # forming B X B' then rounds at about eps ||B||^2 ||X||, above 1e-8 ||Y||
+    rng = np.random.default_rng(36)
+    b = np.diag(np.linspace(0.99, 0.5, 6)) + np.triu(rng.uniform(-3.0, 3.0, (6, 6)), 1)
+    y = np.eye(6)
+    x = analysis._steady_state(b, y)
+    assert np.linalg.norm(x) > 1e8 * np.linalg.norm(y)
+    assert np.linalg.norm(x - b @ x @ b.T - y) > 1e-8 * np.linalg.norm(y)
+    np.testing.assert_allclose(x, kronecker_steady_state(b, y), rtol=1e-10)
+
+
 @pytest.mark.parametrize("rho", [1.0001, 1.5, 1e200])
 def test_steady_state_rejects_unstable_b(rho):
     # the series diverges, so doubling overflows and the residual check rejects it

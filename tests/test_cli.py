@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import filter_oracles as oracle
 import numpy as np
 import pytest
 
 import diffnet
-from diffnet import cli
+from diffnet import cli, diffusion, kalman
+from diffnet.datamodel import sample_snapshot
 
 
 def base_config(outdir, **extra):
@@ -185,6 +187,86 @@ def test_kalman_subcommand(tmp_path):
     for key in ("diffusion_msd_final", "consensus_msd_final", "central_msd_final"):
         assert res[key] > 0
     assert (out / "kalman_curve.csv").exists()
+
+
+def _curve_columns(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+
+
+def test_rls_curves_match_per_node_oracles(tmp_path):
+    out = tmp_path / "rls"
+    n, m, trials, iters, lam, delta = 5, 3, 2, 80, 0.99, 100.0
+    doc = {
+        "seed": 9,
+        "trials": trials,
+        "iterations": iters,
+        "topology": {"n": n, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]},
+        "model": {"generator": {"seed": 3, "N": n, "M": m}},
+        "strategy": {"rls": {"lambda": lam, "delta": delta, "a": {"rule": "metropolis"},
+                             "c": {"rule": "averaging"}}},
+        "outputs": str(out),
+    }
+    assert cli.main(["rls", "--config", write_config(tmp_path, doc)]) == 0
+    t = cli.build_topology_spec(doc["topology"])
+    model = cli.build_model_spec(doc["model"], n)
+    a = cli._matrix_from_spec(doc["strategy"]["rls"]["a"], t, model, "a")
+    c = cli._matrix_from_spec(doc["strategy"]["rls"]["c"], t, model, "c")
+    msd = np.zeros((iters, 2))
+    for rng in diffusion.trial_rngs(doc["seed"], trials):
+        d_states = oracle.init_states(n, m, lam, delta)
+        c_states = oracle.init_crls_states(n, m, delta)
+        for i in range(iters):
+            snap = sample_snapshot(model, rng)
+            d_states = oracle.drls_step(d_states, t, a, c, snap)
+            c_states = oracle.crls_step(c_states, t, c, snap)
+            msd[i, 0] += ((oracle.stack(d_states, "w") - model.wo) ** 2).sum()
+            msd[i, 1] += ((oracle.stack(c_states, "psi") - model.wo) ** 2).sum()
+    expected = 10.0 * np.log10(msd / (n * trials))
+    np.testing.assert_allclose(_curve_columns(out / "rls_curve.csv"), expected, rtol=1e-9)
+
+
+def test_kalman_curves_match_per_node_oracles(tmp_path):
+    out = tmp_path / "kf"
+    n, trials, iters, eps = 5, 2, 60, 0.1
+    angles = np.linspace(0.2, 2.8, n)
+    section = {
+        "f": [[0.99, 0.1], [0.0, 0.95]],
+        "g": [[0.0], [1.0]],
+        "h": [[[float(np.cos(x)), float(np.sin(x))]] for x in angles],
+        "q": [[0.01]],
+        "r": [[[0.2 + 0.1 * k]] for k in range(n)],
+        "pi0": [[1.0, 0.0], [0.0, 1.0]],
+        "a": {"rule": "metropolis"},
+        "epsilon": eps,
+    }
+    doc = {
+        "seed": 6,
+        "trials": trials,
+        "iterations": iters,
+        "topology": {"n": n, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [2, 5]]},
+        "strategy": {"kalman": section},
+        "outputs": str(out),
+    }
+    assert cli.main(["kalman", "--config", write_config(tmp_path, doc)]) == 0
+    t = cli.build_topology_spec(doc["topology"])
+    model = kalman.StateSpaceModel(**{k: np.asarray(section[k], dtype=float)
+                                      for k in ("f", "g", "h", "q", "r", "pi0")})
+    a = cli._matrix_from_spec(section["a"], t, None, "a")
+    msd = np.zeros((iters, 3))
+    for rng in diffusion.trial_rngs(doc["seed"], trials):
+        xs, ys = kalman.simulate_state_trajectory(model, iters, rng)
+        d_states = oracle.init_kf_states(model)
+        c_states = oracle.init_kf_states(model)
+        central = kalman.KfState(x_pred=np.zeros(2), p_pred=model.pi0.copy())
+        for i in range(iters):
+            d_states = oracle.dkf_tm_step(d_states, t, a, model, ys[i])
+            c_states = oracle.ckf_step(c_states, t, model, ys[i], eps)
+            central = kalman.centralized_kf_step(central, model, ys[i])
+            msd[i, 0] += ((oracle.stack(d_states, "x_filt") - xs[i]) ** 2).sum() / n
+            msd[i, 1] += ((oracle.stack(c_states, "x_filt") - xs[i]) ** 2).sum() / n
+            msd[i, 2] += ((central.x_filt - xs[i]) ** 2).sum()
+    expected = 10.0 * np.log10(msd / trials)
+    np.testing.assert_allclose(_curve_columns(out / "kalman_curve.csv"), expected, rtol=1e-9)
 
 
 def test_seed_override_changes_results(tmp_path):

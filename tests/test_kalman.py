@@ -1,15 +1,15 @@
+import filter_oracles as oracle
 import numpy as np
 import pytest
 
 from diffnet import combiners, graph
 from diffnet.errors import NumericalError, PreconditionError, ValidationError
 from diffnet.kalman import (
-    KfNodeState,
+    KfState,
     StateSpaceModel,
     centralized_kf_step,
     ckf_combine,
     ckf_step,
-    dkf_info_step,
     dkf_tm_step,
     init_kf_states,
     simulate_state_trajectory,
@@ -41,15 +41,14 @@ def test_scalar_single_measurement_update():
     t = single_node()
     eye = identity_combination(1, t)
     states = init_kf_states(model)
-    states = dkf_tm_step(states, t, eye, model, np.array([[2.0]]))
-    st = states[0]
-    assert st.psi[0] == pytest.approx(1.0)
-    assert st.p_filt[0, 0] == pytest.approx(0.5)
-    assert st.x_pred[0] == pytest.approx(1.0)
-    assert st.p_pred[0, 0] == pytest.approx(0.5)
+    st = dkf_tm_step(states, t, eye, model, np.array([[2.0]]))
+    assert st.psi[0, 0] == pytest.approx(1.0)
+    assert st.p_filt[0, 0, 0] == pytest.approx(0.5)
+    assert st.x_pred[0, 0] == pytest.approx(1.0)
+    assert st.p_pred[0, 0, 0] == pytest.approx(0.5)
     # information form computes the same numbers: S=1, q=2
-    states2 = init_kf_states(model)
-    states2 = dkf_info_step(states2, t, eye, model, np.array([[2.0]]))
+    states2 = oracle.init_kf_states(model)
+    states2 = oracle.dkf_info_step(states2, t, eye, model, np.array([[2.0]]))
     assert states2[0].psi[0] == pytest.approx(1.0)
     assert states2[0].p_filt[0, 0] == pytest.approx(0.5)
 
@@ -60,29 +59,58 @@ def test_single_node_equals_classical_filter():
     t = single_node()
     eye = identity_combination(1, t)
     states = init_kf_states(model)
-    central = KfNodeState(x_pred=np.zeros(4), p_pred=model.pi0.copy())
+    central = KfState(x_pred=np.zeros(4), p_pred=model.pi0.copy())
     _, ys = simulate_state_trajectory(model, 300, rng)
     for i in range(300):
-        states = dkf_tm_step(states, t, eye, model, ys[i], i)
-        central = centralized_kf_step(central, model, ys[i], i)
-        assert np.abs(states[0].x_filt - central.x_filt).max() < 1e-10
-        assert np.abs(states[0].p_pred - central.p_pred).max() < 1e-10
+        states = dkf_tm_step(states, t, eye, model, ys[i])
+        central = centralized_kf_step(central, model, ys[i])
+        assert np.abs(states.x_filt[0] - central.x_filt).max() < 1e-10
+        assert np.abs(states.p_pred[0] - central.p_pred).max() < 1e-10
 
 
 def test_tm_and_info_forms_agree():
+    # the batched kernel against the per-node time/measurement and information forms
     rng = np.random.default_rng(1)
     t = graph.random_connected_topology(5, rng)
     model = random_model(rng, 5)
     a = combiners.build_combination(t, "metropolis")
-    s_tm = init_kf_states(model)
-    s_if = init_kf_states(model)
+    s_kernel = init_kf_states(model)
+    s_tm = oracle.init_kf_states(model)
+    s_if = oracle.init_kf_states(model)
     _, ys = simulate_state_trajectory(model, 500, rng)
     for i in range(500):
-        s_tm = dkf_tm_step(s_tm, t, a, model, ys[i], i)
-        s_if = dkf_info_step(s_if, t, a, model, ys[i], i)
-        for k in range(5):
-            assert np.abs(s_tm[k].x_filt - s_if[k].x_filt).max() < 1e-8
-            assert np.abs(s_tm[k].p_pred - s_if[k].p_pred).max() < 1e-8
+        s_kernel = dkf_tm_step(s_kernel, t, a, model, ys[i])
+        s_tm = oracle.dkf_tm_step(s_tm, t, a, model, ys[i])
+        s_if = oracle.dkf_info_step(s_if, t, a, model, ys[i])
+        for ref in (s_tm, s_if):
+            assert np.abs(s_kernel.x_filt - oracle.stack(ref, "x_filt")).max() < 1e-8
+            assert np.abs(s_kernel.p_pred - oracle.stack(ref, "p_pred")).max() < 1e-8
+
+
+def test_singular_f_matches_time_measurement_oracle():
+    # F kills the first state and G drives only the second, so every P_pred
+    # from step 1 on is singular: the kernel needs no P^-1, the information
+    # form does
+    rng = np.random.default_rng(8)
+    t = graph.random_connected_topology(5, rng)
+    h = rng.standard_normal((5, 1, 2))
+    r = np.array([[[0.2 + rng.random()]] for _ in range(5)])
+    model = StateSpaceModel(
+        f=np.array([[0.0, 0.0], [0.0, 0.9]]), g=np.array([[0.0], [1.0]]), h=h,
+        q=np.array([[0.1]]), r=r, pi0=np.eye(2),
+    )
+    a = combiners.build_combination(t, "metropolis")
+    s_kernel = init_kf_states(model)
+    s_tm = oracle.init_kf_states(model)
+    _, ys = simulate_state_trajectory(model, 100, rng)
+    for i in range(100):
+        s_kernel = dkf_tm_step(s_kernel, t, a, model, ys[i])
+        s_tm = oracle.dkf_tm_step(s_tm, t, a, model, ys[i])
+        assert np.abs(s_kernel.x_filt - oracle.stack(s_tm, "x_filt")).max() < 1e-10
+        assert np.abs(s_kernel.p_pred - oracle.stack(s_tm, "p_pred")).max() < 1e-10
+    assert np.all(s_kernel.p_pred[:, 0, :] == 0.0)
+    with pytest.raises(NumericalError):
+        oracle.dkf_info_step(s_tm, t, a, model, ys[0])
 
 
 def test_identity_combination_keeps_nodes_independent():
@@ -100,9 +128,9 @@ def test_identity_combination_keeps_nodes_independent():
     t1 = single_node()
     eye1 = identity_combination(1, t1)
     for i in range(50):
-        states = dkf_tm_step(states, t, eye, model, ys[i], i)
-        solo = dkf_tm_step(solo, t1, eye1, solo_model, ys[i, :1], i)
-        assert np.abs(states[0].x_filt - solo[0].x_filt).max() < 1e-12
+        states = dkf_tm_step(states, t, eye, model, ys[i])
+        solo = dkf_tm_step(solo, t1, eye1, solo_model, ys[i, :1])
+        assert np.abs(states.x_filt[0] - solo.x_filt[0]).max() < 1e-12
 
 
 def test_ckf_combine_example():
@@ -140,10 +168,9 @@ def test_ckf_combine_matches_diffusion_with_epsilon_weights():
     s_cons = init_kf_states(model)
     _, ys = simulate_state_trajectory(model, 100, rng)
     for i in range(100):
-        s_diff = dkf_info_step(s_diff, t, a_eps, model, ys[i], i)
-        s_cons = ckf_step(s_cons, t, model, ys[i], eps, i)
-        for k in range(5):
-            assert np.abs(s_diff[k].x_filt - s_cons[k].x_filt).max() < 1e-12
+        s_diff = dkf_tm_step(s_diff, t, a_eps, model, ys[i])
+        s_cons = ckf_step(s_cons, t, model, ys[i], eps)
+        assert np.abs(s_diff.x_filt - s_cons.x_filt).max() < 1e-12
 
 
 def test_scalar_riccati_fixed_point():
@@ -160,8 +187,8 @@ def test_scalar_riccati_fixed_point():
     rng = np.random.default_rng(6)
     _, ys = simulate_state_trajectory(model, 200, rng)
     for i in range(200):
-        states = dkf_tm_step(states, t, eye, model, ys[i], i)
-    p = states[0].p_pred[0, 0]
+        states = dkf_tm_step(states, t, eye, model, ys[i])
+    p = states.p_pred[0, 0, 0]
     # independent fixed-point iteration of the Riccati map
     p_star = 1.0
     for _ in range(10000):
@@ -180,9 +207,20 @@ def test_no_measurements_pure_prediction():
     eye = identity_combination(1, t)
     states = init_kf_states(model)
     for i in range(5):
-        states = dkf_tm_step(states, t, eye, model, np.zeros((1, 1)), i)
-        np.testing.assert_allclose(states[0].psi, 0.0, atol=1e-15)
-        np.testing.assert_allclose(states[0].p_pred, (1.0 + 0.1 * (i + 1)) * np.eye(2), atol=1e-12)
+        states = dkf_tm_step(states, t, eye, model, np.zeros((1, 1)))
+        np.testing.assert_allclose(states.psi[0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(states.p_pred[0], (1.0 + 0.1 * (i + 1)) * np.eye(2), atol=1e-12)
+
+
+def test_trajectory_draws_match_step_by_step_oracle():
+    # the batched draw must consume the generator exactly as the per-step,
+    # per-node loop does, so fixed-seed data streams do not change
+    for seed, n_nodes in ((9, 1), (10, 5)):
+        model = random_model(np.random.default_rng(seed), n_nodes)
+        xs, ys = simulate_state_trajectory(model, 60, np.random.default_rng(seed))
+        xs_ref, ys_ref = oracle.simulate_state_trajectory(model, 60, np.random.default_rng(seed))
+        np.testing.assert_array_equal(xs, xs_ref)
+        np.testing.assert_array_equal(ys, ys_ref)
 
 
 def test_model_validation():
@@ -192,13 +230,3 @@ def test_model_validation():
             q=np.eye(2), r=np.zeros((1, 1, 1)), pi0=np.eye(2),
         )
 
-
-def test_time_varying_provider():
-    model = StateSpaceModel(
-        f=np.eye(1), g=np.eye(1), h=np.ones((1, 1, 1)),
-        q=np.eye(1), r=np.ones((1, 1, 1)), pi0=np.eye(1),
-        providers={"f": lambda i: np.array([[0.5 + 0.1 * (i % 2)]])},
-    )
-    assert model.f_at(0)[0, 0] == pytest.approx(0.5)
-    assert model.f_at(1)[0, 0] == pytest.approx(0.6)
-    assert model.g_at(7)[0, 0] == 1.0

@@ -1,3 +1,4 @@
+import filter_oracles as oracle
 import numpy as np
 import pytest
 
@@ -8,7 +9,6 @@ from diffnet.rls import (
     batch_weighted_ls,
     crls_comm_scalars,
     crls_step,
-    drls_alt_step,
     drls_comm_scalars,
     drls_step,
     init_crls_states,
@@ -28,12 +28,12 @@ def test_first_step_regularized_ls():
     eye = identity_combination(1, t)
     states = init_states(1, 1, lam=1.0, delta=1.0)
     snap = Snapshot(d=np.array([1.0]), u=np.array([[1.0]]), v=np.zeros(1))
-    states = drls_step(states, t, eye, eye, snap)
-    assert states[0].psi[0] == pytest.approx(0.5)
-    assert states[0].p[0, 0] == pytest.approx(0.5)
+    states = drls_step(states, eye, eye, snap)
+    assert states.psi[0, 0] == pytest.approx(0.5)
+    assert states.p[0, 0, 0] == pytest.approx(0.5)
     # same first step through the inverse form
-    states2 = init_states(1, 1, lam=1.0, delta=1.0)
-    states2 = drls_alt_step(states2, t, eye, eye, snap)
+    states2 = oracle.init_states(1, 1, lam=1.0, delta=1.0)
+    states2 = oracle.drls_alt_step(states2, t, eye, eye, snap)
     assert states2[0].psi[0] == pytest.approx(0.5)
     assert states2[0].p[0, 0] == pytest.approx(0.5)
 
@@ -52,10 +52,10 @@ def test_single_node_matches_batch_oracle():
             snap = sample_snapshot(model, rng)
             us.append(snap.u[0])
             ds.append(snap.d[0])
-            states = drls_step(states, t, eye, eye, snap)
+            states = drls_step(states, eye, eye, snap)
             if (i + 1) % 100 == 0:
                 batch = batch_weighted_ls(np.array(us), np.array(ds), lam, 1e4)
-                assert np.abs(batch - states[0].w).max() < 1e-6
+                assert np.abs(batch - states.w[0]).max() < 1e-6
 
 
 def test_single_node_converges_at_high_snr():
@@ -67,32 +67,35 @@ def test_single_node_converges_at_high_snr():
     rng = np.random.default_rng(1)
     states = init_states(1, 2, lam=1.0, delta=1e4)
     for _ in range(2000):
-        states = drls_step(states, t, eye, eye, sample_snapshot(model, rng))
-    assert np.abs(states[0].w - model.wo).max() < 1e-1
-    batch_err = np.abs(states[0].w - model.wo).max()
+        states = drls_step(states, eye, eye, sample_snapshot(model, rng))
+    assert np.abs(states.w[0] - model.wo).max() < 1e-1
+    batch_err = np.abs(states.w[0] - model.wo).max()
     assert batch_err == pytest.approx(batch_err)  # finite
 
 
 def test_forms_agree_over_500_steps():
+    # the batched kernel against the per-node rank-one and inverse forms
     rng = np.random.default_rng(2)
     t = graph.random_connected_topology(5, rng)
     model = generate_model(rng, 5, 3)
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "averaging").transpose()
     s1 = init_states(5, 3, lam=0.995, delta=100.0)
-    s2 = init_states(5, 3, lam=0.995, delta=100.0)
+    s2 = oracle.init_states(5, 3, lam=0.995, delta=100.0)
+    s3 = oracle.init_states(5, 3, lam=0.995, delta=100.0)
     for _ in range(500):
         snap = sample_snapshot(model, rng)
-        s1 = drls_step(s1, t, a, c, snap)
-        s2 = drls_alt_step(s2, t, a, c, snap)
-        for k in range(5):
-            assert np.abs(s1[k].w - s2[k].w).max() < 1e-8
-            assert np.abs(s1[k].p - s2[k].p).max() < 1e-8
+        s1 = drls_step(s1, a, c, snap)
+        s2 = oracle.drls_alt_step(s2, t, a, c, snap)
+        s3 = oracle.drls_step(s3, t, a, c, snap)
+        for ref in (s2, s3):
+            assert np.abs(s1.w - oracle.stack(ref, "w")).max() < 1e-8
+            assert np.abs(s1.p - oracle.stack(ref, "p")).max() < 1e-8
 
 
 def test_identity_c_touches_only_local_data():
-    # with C = I, the incremental loop must never read neighbor data: feeding
-    # NaNs at other nodes leaves node k's intermediate estimate finite
+    # with C = I, the update must never read neighbor data: feeding NaNs at
+    # other nodes leaves node k's intermediate estimate finite
     t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [2, 3]]})
     eye = identity_combination(3, t)
     a = combiners.build_combination(t, "averaging")
@@ -101,9 +104,9 @@ def test_identity_c_touches_only_local_data():
     d = np.full(3, np.nan)
     u[1] = [1.0, 2.0]
     d[1] = 1.0
-    states = drls_step(states, t, a, eye, Snapshot(d=d, u=u, v=np.zeros(3)))
-    assert np.all(np.isfinite(states[1].psi))
-    assert np.all(np.isfinite(states[1].p))
+    states = drls_step(states, a, eye, Snapshot(d=d, u=u, v=np.zeros(3)))
+    assert np.all(np.isfinite(states.psi[1]))
+    assert np.all(np.isfinite(states.p[1]))
 
 
 def test_crls_single_node_equals_drls_at_unit_lambda():
@@ -117,9 +120,9 @@ def test_crls_single_node_equals_drls_at_unit_lambda():
     c_states = init_crls_states(1, 2, delta=50.0)
     for _ in range(200):
         snap = sample_snapshot(model, rng)
-        d_states = drls_step(d_states, t, eye, eye, snap)
-        c_states = crls_step(c_states, t, eye, snap)
-        assert np.abs(d_states[0].psi - c_states[0].psi).max() < 1e-8
+        d_states = drls_step(d_states, eye, eye, snap)
+        c_states = crls_step(c_states, eye, snap)
+        assert np.abs(d_states.psi[0] - c_states.psi[0]).max() < 1e-8
 
 
 def test_comm_scalar_counts():
@@ -151,11 +154,11 @@ def test_crls_msd_not_better_than_drls():
         c_states = init_crls_states(10, 2, delta=1e4)
         for i in range(iters):
             snap = sample_snapshot(model, rng_t)
-            d_states = drls_step(d_states, t, a, c, snap)
-            c_states = crls_step(c_states, t, c, snap)
+            d_states = drls_step(d_states, a, c, snap)
+            c_states = crls_step(c_states, c, snap)
             if i >= iters - window:
-                acc_d += sum(float(((s.w - model.wo) ** 2).sum()) for s in d_states)
-                acc_c += sum(float(((s.psi - model.wo) ** 2).sum()) for s in c_states)
+                acc_d += float(((d_states.w - model.wo) ** 2).sum())
+                acc_c += float(((c_states.psi - model.wo) ** 2).sum())
     assert acc_c >= acc_d
 
 
@@ -167,10 +170,10 @@ def test_p_stays_spd():
     c = combiners.build_combination(t, "averaging").transpose()
     states = init_states(4, 2, lam=0.99, delta=10.0)
     for _ in range(300):
-        states = drls_step(states, t, a, c, sample_snapshot(model, rng))
-    for s in states:
-        np.linalg.cholesky(s.p)  # raises if not SPD
-        assert np.abs(s.p - s.p.T).max() == 0.0
+        states = drls_step(states, a, c, sample_snapshot(model, rng))
+    for p in states.p:
+        np.linalg.cholesky(p)  # raises if not SPD
+        assert np.abs(p - p.T).max() == 0.0
 
 
 def test_init_validation():

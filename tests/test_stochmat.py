@@ -35,6 +35,18 @@ def test_combination_matrix_validates_kind_and_support():
         CombinationMatrix(bad, "doubly", supported_on=t)
 
 
+def test_neighbor_sum_reads_only_neighborhoods():
+    # entry (0, 2) is off the path support but within tol, so validation
+    # accepts it; node 2 must still never read node 0's values
+    t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [2, 3]]})
+    entries = np.array([[0.5, 0.5, 1e-13], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5 - 1e-13]])
+    a = CombinationMatrix(entries, "left", supported_on=t)
+    values = np.array([[np.nan], [2.0], [4.0]])
+    out = a.neighbor_sum(values)
+    assert np.isnan(out[0, 0]) and np.isnan(out[1, 0])
+    assert out[2, 0] == 0.5 * 2.0 + (0.5 - 1e-13) * 4.0
+
+
 def test_is_regular():
     ok, j0 = is_regular(np.full((2, 2), 0.5))
     assert ok and j0 == 1
