@@ -24,6 +24,7 @@ k-th diagonal M x M block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,39 +246,74 @@ def performance_report(
     )
 
 
-def learning_curve_theory(
-    constructs: VarianceConstructs,
-    moments: NetworkMoments,
-    w_init,
-    steps: int,
-    target: np.ndarray | None = None,
-) -> np.ndarray:
-    """Theoretical network EMSE trajectory zeta(0..steps).
+class LearningCurves(NamedTuple):
+    """Theoretical network EMSE and MSD at steps 0..steps."""
 
-    ``w_init`` is the common (N, M) initial iterate (zeros by default); the
-    initial error enters through the transient term.  Passing
-    ``target = I/N`` yields the transient network MSD curve instead.
+    emse: np.ndarray
+    msd: np.ndarray
+
+
+# Above this cond(V) of B = V Lambda V^-1 the eigen expansion loses accuracy
+# (B is near-defective) and the forward recursion runs instead.  On perturbed
+# Jordan blocks of sizes 2-5 the expansion's largest relative error against
+# the recursion was 1.3e-12 for cond(V) < 100, 2e-11 below 300 and 4e-10
+# below 1000; diffusion B's from Metropolis and relative-degree weights had
+# cond(V) below 15.
+_EIGEN_COND_MAX = 100.0
+
+
+def learning_curve_theory(
+    constructs: VarianceConstructs, moments: NetworkMoments, w_init, steps: int
+) -> LearningCurves:
+    """Theoretical network EMSE and MSD trajectories over steps 0..steps.
+
+    ``w_init`` is the common (N, M) initial iterate (zeros by default).  Entry
+    i of each curve is Tr(T X_{i+1}), with T = R_u/N for the EMSE and I/N for
+    the MSD, where X_{i+1} = B X_i B' + Y starts from X_0 = w~_0 w~_0'.
+
+    The transient obeys X_i - X_inf = B^i (X_0 - X_inf) B'^i.  With
+    B = V Lambda V^-1 each curve is Tr(T X_inf) + sum_ab W_ab (l_a l_b)^(i+1),
+    W = (V' T V) o (V^-1 (X_0 - X_inf) V^-T): O((NM)^2) per step.  When V is
+    ill-conditioned the forward recursion runs instead, O((NM)^3) per step.
     """
     if constructs.rho_b >= 1.0:
         raise InstabilityError("learning curve undefined: rho(B) >= 1")
     n, m = moments.n, moments.m
-    if target is None:
-        target = moments.ru / n
     if w_init is None:
         w_init = np.zeros((n, m))
     werr = (moments.wo[None, :] - np.asarray(w_init, dtype=float).reshape(n, m)).reshape(-1)
+    b, y = constructs.b, constructs.y
+    x0 = np.outer(werr, werr)
+    curves = np.empty((2, steps + 1))
 
-    # the weighting recursion T_{j+1} = B' T_j B, dual to X_{j+1} = B X_j B' + Y
-    b = constructs.b
-    y = constructs.y
-    curve = np.empty(steps + 1)
-    sig = target.copy()
-    cum = 0.0
-    for i in range(steps + 1):
-        cum += float(np.tensordot(y.T, sig))
-        sig = b.T @ sig @ b
-        curve[i] = werr @ sig @ werr + cum
-    return curve
+    lam, v = np.linalg.eig(b)
+    if np.linalg.cond(v) <= _EIGEN_COND_MAX:
+        x_inf = _steady_state(b, y)
+        e = np.linalg.solve(v, np.linalg.solve(v, x0 - x_inf).T)  # V^-1 (X_0 - X_inf) V^-T
+        # T V for T = blockdiag(R_u,k); T = I leaves V.  W takes the 1/N.
+        ru_v = (moments.ru_stack @ v.reshape(n, m, n * m)).reshape(n * m, n * m)
+        # W and the pairwise rates are symmetric: sum over a <= b, doubling a < b
+        upper = np.triu_indices(n * m)
+        w = np.empty((2, upper[0].size), dtype=complex)
+        for j, t in enumerate((ru_v, v)):
+            p = v.T @ t
+            p *= e
+            w[j] = p[upper]
+        w *= np.where(upper[0] == upper[1], 1.0, 2.0) / n
+        rate = (lam[:, None] * lam[None, :])[upper]
+        power = rate.copy()
+        for i in range(steps + 1):
+            curves[:, i] = (w @ power).real
+            power *= rate
+        curves[0] += np.vdot(moments.ru, x_inf) / n
+        curves[1] += np.trace(x_inf) / n
+    else:
+        x = x0
+        for i in range(steps + 1):
+            x = b @ x @ b.T + y
+            curves[0, i] = np.vdot(moments.ru, x) / n
+            curves[1, i] = np.trace(x) / n
+    return LearningCurves(emse=curves[0], msd=curves[1])
 
 
 def mean_stability(

@@ -41,6 +41,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _int_field(doc: dict, key: str, default, minimum: int) -> int:
+    raw = doc.get(key, default)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _step_sizes(strategy: dict) -> np.ndarray:
+    raw = strategy.get("mu", 0.01)
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"mu must be a number or a list of numbers, got {raw!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -63,17 +82,14 @@ class ExperimentConfig:
                 doc[{"out": "outputs"}.get(key, key)] = overrides[key]
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
-        trials = int(doc.get("trials", 1))
-        if trials < 1:
-            raise ValidationError("trials must be >= 1")
         emit = list(doc.get("emit", ["learning_curve", "steady_state", "theory"]))
         bad = [e for e in emit if e not in EMITS]
         if bad:
             raise ValidationError(f"unknown emit entries {bad}; choose from {EMITS}")
         return cls(
-            seed=int(doc["seed"]),
-            trials=trials,
-            iterations=int(doc.get("iterations", 0)),
+            seed=_int_field(doc, "seed", None, 0),
+            trials=_int_field(doc, "trials", 1, 1),
+            iterations=_int_field(doc, "iterations", 0, 0),
             model=doc.get("model", {}),
             topology=doc.get("topology", {}),
             strategy=doc.get("strategy", {}),
@@ -124,8 +140,7 @@ def _matrix_from_spec(spec, t: Topology, model, role: str) -> CombinationMatrix:
 
 def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionConfig:
     variant = strategy.get("variant", "atc")
-    mu = strategy.get("mu", 0.01)
-    mu = np.asarray(mu, dtype=float)
+    mu = _step_sizes(strategy)
     c = _matrix_from_spec(strategy.get("c"), t, model, "c")
     kw = {}
     if "adaptive_weights" in strategy:
@@ -224,10 +239,8 @@ def run(config: ExperimentConfig) -> dict:
 
     if "learning_curve" in config.emit:
         if report.stable_ms and config.iterations > 0:
-            zeta = analysis.learning_curve_theory(constructs, moments, None, config.iterations)
-            msd_theory_curve = analysis.learning_curve_theory(
-                constructs, moments, None, config.iterations,
-                target=np.eye(moments.n * moments.m) / moments.n,
+            zeta, msd_theory_curve = analysis.learning_curve_theory(
+                constructs, moments, None, config.iterations
             )
         else:
             zeta = np.full(config.iterations + 1, float("nan"))
@@ -362,7 +375,7 @@ def cmd_compare(args) -> int:
     model = build_model_spec(config.model, t.n)
     a = _matrix_from_spec(config.strategy.get("a"), t, model, "a")
     c = _matrix_from_spec(config.strategy.get("c"), t, model, "c")
-    mu = np.asarray(config.strategy.get("mu", 0.01), dtype=float)
+    mu = _step_sizes(config.strategy)
     report = analysis.compare_strategies(model, a, c, mu)
 
     sims = {}
@@ -499,6 +512,7 @@ def cmd_kalman(args) -> int:
         raise ValidationError("state-space model node count does not match topology")
     a = _matrix_from_spec(section.get("a", {"rule": "metropolis"}), t, None, "a")
     epsilon = float(section.get("epsilon", 0.1))
+    eps_weights = kalman.ckf_weights(t, epsilon)
     iters = config.iterations or 100
 
     msd = {"diffusion": np.zeros(iters), "consensus": np.zeros(iters), "central": np.zeros(iters)}
@@ -509,7 +523,7 @@ def cmd_kalman(args) -> int:
         central = kalman.KfState(x_pred=np.zeros(model.state_dim), p_pred=model.pi0.copy())
         for i in range(iters):
             d_states = kalman.dkf_tm_step(d_states, t, a, model, ys[i])
-            c_states = kalman.ckf_step(c_states, t, model, ys[i], epsilon)
+            c_states = kalman.ckf_step(c_states, t, model, ys[i], eps_weights)
             central = kalman.centralized_kf_step(central, model, ys[i])
             msd["diffusion"][i] += ((d_states.x_filt - xs[i]) ** 2).sum() / t.n
             msd["consensus"][i] += ((c_states.x_filt - xs[i]) ** 2).sum() / t.n

@@ -214,9 +214,9 @@ def adapt_weights_all(
     d2 = (diff**2).sum(axis=2)  # (N, N): [l, k]
     sup = state.support
     nu = state.nu[None, :]
-    state.gamma2[sup] = ((1.0 - nu) * state.gamma2 + nu * d2)[sup]
-    g = np.where(sup, np.maximum(state.gamma2, floor), np.inf)
-    floored = bool(np.any(state.gamma2[sup] < floor))
-    inv = 1.0 / g
+    # off the support gamma2 stays 0 and its weight 0 / floor = 0
+    state.gamma2 = (1.0 - nu) * state.gamma2 + nu * np.where(sup, d2, 0.0)
+    floored = bool(np.any((state.gamma2 < floor) & sup))
+    inv = sup / np.maximum(state.gamma2, floor)
     entries = inv / inv.sum(axis=0, keepdims=True)
     return state, entries, floored

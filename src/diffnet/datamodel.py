@@ -111,8 +111,10 @@ class LinkNoiseModel:
     rw: np.ndarray  # (N, N, M, M)
     rpsi: np.ndarray  # (N, N, M, M)
     sigma2_d: np.ndarray  # (N, N)
-    _fw: np.ndarray = field(init=False, repr=False)
-    _fpsi: np.ndarray = field(init=False, repr=False)
+    _fw: np.ndarray = field(init=False, repr=False)  # (P_w, M, M) nonzero factors
+    _fpsi: np.ndarray = field(init=False, repr=False)  # (P_psi, M, M)
+    _w_pairs: np.ndarray = field(init=False, repr=False)  # flat l*N + k of each factor
+    _psi_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rw = np.asarray(self.rw, dtype=float)
@@ -133,8 +135,11 @@ class LinkNoiseModel:
         object.__setattr__(self, "rw", rw)
         object.__setattr__(self, "rpsi", rpsi)
         object.__setattr__(self, "sigma2_d", s2)
-        object.__setattr__(self, "_fw", _psd_factors(rw, "rw"))
-        object.__setattr__(self, "_fpsi", _psd_factors(rpsi, "rpsi"))
+        for name, cov in (("w", rw), ("psi", rpsi)):
+            factors = _psd_factors(cov, "r" + name).reshape(n * n, m, m)
+            pairs = np.flatnonzero(factors.any(axis=(1, 2)))
+            object.__setattr__(self, "_f" + name, factors[pairs])
+            object.__setattr__(self, f"_{name}_pairs", pairs)
 
     @property
     def n(self) -> int:
@@ -164,15 +169,24 @@ def zero_link_noise(n: int, m: int) -> LinkNoiseModel:
 
 
 def sample_link_noise(lm: LinkNoiseModel, rng) -> LinkDraws:
-    """Per-pair Gaussian draws; zero-covariance pairs return exact zeros."""
+    """Per-pair Gaussian draws; zero-covariance pairs return exact zeros.
+
+    One draw of 2 N^2 M + N^2 normals fills the vw, vpsi and vd inputs in
+    that order; only pairs with a nonzero covariance are transformed.
+    """
     n, m = lm.n, lm.m
-    zw = rng.standard_normal((n, n, m))
-    zpsi = rng.standard_normal((n, n, m))
-    zd = rng.standard_normal((n, n))
-    vw = np.einsum("lkij,lkj->lki", lm._fw, zw)
-    vpsi = np.einsum("lkij,lkj->lki", lm._fpsi, zpsi)
-    vd = np.sqrt(lm.sigma2_d) * zd
-    return LinkDraws(vw=vw, vpsi=vpsi, vd=vd)
+    z = rng.standard_normal(2 * n * n * m + n * n)
+    draws = []
+    for factors, pairs, zs in (
+        (lm._fw, lm._w_pairs, z[: n * n * m]),
+        (lm._fpsi, lm._psi_pairs, z[n * n * m : 2 * n * n * m]),
+    ):
+        v = np.zeros((n * n, m))
+        if pairs.size:
+            v[pairs] = np.einsum("pij,pj->pi", factors, zs.reshape(n * n, m)[pairs])
+        draws.append(v.reshape(n, n, m))
+    vd = np.sqrt(lm.sigma2_d) * z[2 * n * n * m :].reshape(n, n)
+    return LinkDraws(vw=draws[0], vpsi=draws[1], vd=vd)
 
 
 def random_link_noise(

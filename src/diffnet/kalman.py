@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, ValidationError
-from .graph import NeighborSum, Topology
+from .graph import Topology
+from .stochmat import LEFT, CombinationMatrix
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,9 @@ class StateSpaceModel:
     ``x_{i+1} = F x_i + G n_i`` with per-node measurements
     ``y_k = H_k x + v_k``; measurement covariances must be positive-definite.
     The derived stacks ``rinv_h`` (R_k^-1 H_k), ``info`` (H_k' R_k^-1 H_k)
-    and ``r_chol`` (Cholesky factors of R_k) are computed once here.
+    and ``r_chol`` (Cholesky factors of R_k), the block-diagonal ``r_block``
+    of all nodes' R_k and the process covariance ``gqg`` (G Q G') are
+    computed once here.
     """
 
     f: np.ndarray  # (n, n)
@@ -44,6 +47,8 @@ class StateSpaceModel:
     rinv_h: np.ndarray = field(init=False, repr=False)  # (N, p, n)
     info: np.ndarray = field(init=False, repr=False)  # (N, n, n)
     r_chol: np.ndarray = field(init=False, repr=False)  # (N, p, p)
+    r_block: np.ndarray = field(init=False, repr=False)  # (N p, N p)
+    gqg: np.ndarray = field(init=False, repr=False)  # (n, n)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -71,8 +76,13 @@ class StateSpaceModel:
             raise ValidationError("process covariance must be nonnegative-definite")
         rinv_h = np.linalg.solve(r, h)
         info = h.transpose(0, 2, 1) @ rinv_h
+        n_nodes, p_dim = r.shape[0], r.shape[1]
+        r_block = np.zeros((n_nodes, p_dim, n_nodes, p_dim))
+        r_block[np.arange(n_nodes), :, np.arange(n_nodes), :] = r
+        r_block = r_block.reshape(n_nodes * p_dim, n_nodes * p_dim)
         for name, val in (("f", f), ("g", g), ("h", h), ("q", qm), ("r", r), ("pi0", pi0),
-                          ("rinv_h", rinv_h), ("info", info), ("r_chol", r_chol)):
+                          ("rinv_h", rinv_h), ("info", info), ("r_chol", r_chol),
+                          ("r_block", r_block), ("gqg", g @ qm @ g.T)):
             object.__setattr__(self, name, val)
 
     @property
@@ -94,6 +104,9 @@ class KfState:
 
     The distributed filters stack every field over the nodes ((N, n) and
     (N, n, n)); the centralized filter carries one (n,) and (n, n) set.
+    ``info_sum`` is every node's neighborhood information
+    sum_{l in N_k} H_l' R_l^-1 H_l, fixed for a run: the first distributed
+    step computes it and later steps carry it.
     """
 
     x_pred: np.ndarray
@@ -101,6 +114,7 @@ class KfState:
     x_filt: np.ndarray | None = None
     p_filt: np.ndarray | None = None
     psi: np.ndarray | None = None
+    info_sum: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_kf_states(model: StateSpaceModel) -> KfState:
@@ -138,17 +152,21 @@ def measurement_update(x, p, s_bar, r_bar):
     return x + sol[..., -1], _sym(sol[..., :-1])
 
 
-def _time_update(model: StateSpaceModel, psi, x_filt, p_filt) -> KfState:
-    f, g = model.f, model.g
-    return KfState(x_pred=x_filt @ f.T, p_pred=_sym(f @ p_filt @ f.T + g @ model.q @ g.T),
-                   x_filt=x_filt, p_filt=p_filt, psi=psi)
+def _time_update(model: StateSpaceModel, psi, x_filt, p_filt, info_sum=None) -> KfState:
+    f = model.f
+    return KfState(x_pred=x_filt @ f.T, p_pred=_sym(f @ p_filt @ f.T + model.gqg),
+                   x_filt=x_filt, p_filt=p_filt, psi=psi, info_sum=info_sum)
 
 
-def _local_update(states: KfState, t: Topology, model: StateSpaceModel, y):
-    """Every node's measurement update over its whole neighborhood N_k."""
-    r = np.einsum("kpn,kp->kn", model.rinv_h, np.asarray(y, dtype=float))
-    nsum = t.neighborhood_sum
-    return measurement_update(states.x_pred, states.p_pred, nsum(model.info), nsum(r))
+def _diffuse(states: KfState, t: Topology, a, model: StateSpaceModel, y) -> KfState:
+    """Measurement update of every node over its whole neighborhood N_k,
+    combination through the columns of ``a``, then the time update."""
+    info_sum = states.info_sum
+    if info_sum is None:
+        info_sum = t.neighborhood_sum(model.info)
+    r = t.neighborhood_sum(np.einsum("kpn,kp->kn", model.rinv_h, np.asarray(y, dtype=float)))
+    psi, p_filt = measurement_update(states.x_pred, states.p_pred, info_sum, r)
+    return _time_update(model, psi, a.neighbor_sum(psi), p_filt, info_sum)
 
 
 def dkf_tm_step(states: KfState, t: Topology, a, model: StateSpaceModel, y) -> KfState:
@@ -159,13 +177,12 @@ def dkf_tm_step(states: KfState, t: Topology, a, model: StateSpaceModel, y) -> K
     CombinationMatrix), and the time update propagates the combined estimate
     with the node's own P_f.
     """
-    psi, p_filt = _local_update(states, t, model, y)
-    return _time_update(model, psi, a.neighbor_sum(psi), p_filt)
+    return _diffuse(states, t, a, model, y)
 
 
-def ckf_combine(psis, t: Topology, epsilon: float) -> np.ndarray:
-    """Consensus combination of stacked intermediate estimates: weight
-    (1 + eps - n_k eps) on the node's own estimate and eps on each neighbor's.
+def ckf_weights(t: Topology, epsilon: float) -> CombinationMatrix:
+    """Consensus combination weights: (1 + eps - n_k eps) on the node's own
+    estimate and eps on each neighbor's.
 
     The weights sum to one by construction; eps must be small enough that no
     self-weight goes negative.
@@ -177,14 +194,14 @@ def ckf_combine(psis, t: Topology, epsilon: float) -> np.ndarray:
         )
     weights = np.where(t.adjacency, epsilon, 0.0)
     np.fill_diagonal(weights, self_w)
-    return NeighborSum(weights)(psis)
+    return CombinationMatrix(weights, LEFT, supported_on=t)
 
 
-def ckf_step(states: KfState, t: Topology, model: StateSpaceModel, y, epsilon: float) -> KfState:
+def ckf_step(states: KfState, t: Topology, model: StateSpaceModel, y, weights) -> KfState:
     """Consensus-Kalman baseline: the same neighborhood update followed by
-    the epsilon combination instead of the diffusion weights."""
-    psi, p_filt = _local_update(states, t, model, y)
-    return _time_update(model, psi, ckf_combine(psi, t, epsilon), p_filt)
+    the epsilon combination (``weights`` from :func:`ckf_weights`) instead of
+    the diffusion weights."""
+    return _diffuse(states, t, weights, model, y)
 
 
 def centralized_kf_step(state: KfState, model: StateSpaceModel, y) -> KfState:
@@ -194,12 +211,8 @@ def centralized_kf_step(state: KfState, model: StateSpaceModel, y) -> KfState:
     variant, and for N = 1 it coincides with the diffusion filters.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    n_nodes, p_dim = model.n_nodes, model.meas_dim
-    h = model.h.reshape(n_nodes * p_dim, model.state_dim)
-    r = np.zeros((n_nodes, p_dim, n_nodes, p_dim))
-    r[np.arange(n_nodes), :, np.arange(n_nodes), :] = model.r
-    r = r.reshape(n_nodes * p_dim, n_nodes * p_dim)
-    re = _sym(r + h @ state.p_pred @ h.T)
+    h = model.h.reshape(-1, model.state_dim)
+    re = _sym(model.r_block + h @ state.p_pred @ h.T)
     try:
         re_chol = np.linalg.cholesky(re)
     except np.linalg.LinAlgError as exc:

@@ -69,6 +69,27 @@ def series_steady_state(b: np.ndarray, y: np.ndarray, tol: float = 1e-16) -> np.
         term = b @ term @ b.T
 
 
+def recursion_learning_curve(vc, moments, w_init, steps, target):
+    """Reference curve from the weighting recursion T_{j+1} = B' T_j B.
+
+    Entry i is w~' T_{i+1} w~ + sum_{j <= i} Tr(Y T_j), the dual of
+    Tr(target X_{i+1}) with X_{i+1} = B X_i B' + Y; two O((NM)^3) products
+    per step.
+    """
+    n, m = moments.n, moments.m
+    if w_init is None:
+        w_init = np.zeros((n, m))
+    werr = (moments.wo[None, :] - np.asarray(w_init, dtype=float).reshape(n, m)).reshape(-1)
+    curve = np.empty(steps + 1)
+    sig = target.copy()
+    cum = 0.0
+    for i in range(steps + 1):
+        cum += float(np.tensordot(vc.y.T, sig))
+        sig = vc.b.T @ sig @ vc.b
+        curve[i] = werr @ sig @ werr + cum
+    return curve
+
+
 def node_values(x: np.ndarray, moments) -> tuple[np.ndarray, np.ndarray]:
     """Per-node MSD Tr(X_kk) and EMSE Tr(X_kk R_{u,k}) from a network X."""
     m = moments.m
@@ -303,7 +324,7 @@ def test_uniform_profile_decoupled_formula():
 
 def test_learning_curve_scalar_limit():
     _, _, moments, vc = scalar_setup()
-    curve = learning_curve_theory(vc, moments, None, 3000)
+    curve = learning_curve_theory(vc, moments, None, 3000).emse
     assert curve[-1] == pytest.approx(0.01 / 0.19, abs=1e-6)
     assert curve[0] == pytest.approx(vc.y[0, 0] + 0.81 * 1.0, abs=1e-12)
 
@@ -312,7 +333,7 @@ def test_learning_curve_from_truth_is_monotone():
     rng = np.random.default_rng(9)
     _, model, cfg, moments, vc = random_setup(rng)
     w_init = np.tile(model.wo, (moments.n, 1))
-    curve = learning_curve_theory(vc, moments, w_init, 500)
+    curve = learning_curve_theory(vc, moments, w_init, 500).emse
     assert np.all(np.diff(curve) >= -1e-15)
     rep = performance_report(vc, moments)
     assert curve[-1] <= rep.emse_network + 1e-12
@@ -330,8 +351,95 @@ def test_learning_curve_tail_equals_steady_state_under_link_noise():
     noisy = performance_report(vci, moments).msd_network
     perfect = performance_report(variance_constructs(moments, cfg), moments).msd_network
     assert noisy > 10 * perfect  # the link noise dominates the steady state
-    curve = learning_curve_theory(vci, moments, None, 3000, target=np.eye(12) / 6)
-    assert curve[-1] == pytest.approx(noisy, rel=1e-9)
+    curves = learning_curve_theory(vci, moments, None, 3000)
+    assert curves.msd[-1] == pytest.approx(noisy, rel=1e-10)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_learning_curve_tail_equals_performance_report(noisy):
+    rng = np.random.default_rng(23)
+    t = graph.random_connected_topology(8, rng)
+    model = generate_model(rng, 8, 3)
+    a = combiners.build_combination(t, "metropolis")
+    cfg = atc_config(a, a, 0.03)
+    moments = build_moments(model, cfg)
+    if noisy:
+        vc = imperfect_constructs(moments, cfg, random_link_noise(t, 3, rng))
+    else:
+        vc = variance_constructs(moments, cfg)
+    rep = performance_report(vc, moments)
+    curves = learning_curve_theory(vc, moments, None, 4000)
+    assert curves.emse[-1] == pytest.approx(rep.emse_network, rel=1e-10)
+    assert curves.msd[-1] == pytest.approx(rep.msd_network, rel=1e-10)
+
+
+def _strategy(kind, t):
+    a = combiners.build_combination(t, "metropolis")
+    c = combiners.build_combination(t, "metropolis")
+    if kind == "atc":
+        return atc_config(a, c, 0.04)
+    if kind == "cta":
+        return cta_config(a, c, 0.04)
+    return general_config(a, combiners.build_combination(t, "relative_degree"), c, 0.04)
+
+
+@pytest.mark.parametrize("kind", ["atc", "cta", "general"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_learning_curve_matches_recursion_oracle(kind, noisy):
+    rng = np.random.default_rng(31)
+    n, m = 7, 3
+    t = graph.random_connected_topology(n, rng)
+    model = generate_model(rng, n, m)
+    cfg = _strategy(kind, t)
+    moments = build_moments(model, cfg)
+    if noisy:
+        vc = imperfect_constructs(moments, cfg, random_link_noise(t, m, rng, w_scale=1e-3))
+    else:
+        vc = variance_constructs(moments, cfg)
+    for w_init in (None, rng.standard_normal((n, m))):
+        curves = learning_curve_theory(vc, moments, w_init, 600)
+        emse = recursion_learning_curve(vc, moments, w_init, 600, moments.ru / n)
+        msd = recursion_learning_curve(vc, moments, w_init, 600, np.eye(n * m) / n)
+        np.testing.assert_allclose(curves.emse, emse, rtol=1e-10)
+        np.testing.assert_allclose(curves.msd, msd, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "size, coupling, eigen_path",
+    [
+        (2, 1e-2, True),  # cond(V) = 5.5
+        (3, 1e-3, True),  # cond(V) = 45
+        (2, 1e-5, False),  # cond(V) = 170
+        (2, 1e-7, False),  # cond(V) = 1.7e3
+        (3, 1e-9, False),  # cond(V) = 4.5e5
+        (4, 0.0, False),  # a Jordan block: defective
+    ],
+)
+def test_learning_curve_near_defective_b_matches_oracle(monkeypatch, size, coupling, eigen_path):
+    # B = Q J Q' with J a Jordan block of eigenvalue 0.9 (superdiagonal 0.3)
+    # closed into a cycle by ``coupling``; the expansion in eigenvectors of a
+    # near-defective B loses accuracy, so it must take the forward recursion
+    rng = np.random.default_rng(size)
+    j = 0.9 * np.eye(size) + 0.3 * np.eye(size, k=1)
+    j[-1, 0] = coupling
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    b = q @ j @ q.T
+    g = rng.standard_normal((size, size))
+    vc = analysis.VarianceConstructs(
+        b=b, g=np.eye(size), y=0.01 * g @ g.T, rho_b=float(np.abs(np.linalg.eigvals(b)).max())
+    )
+    model = EnsembleModel(wo=rng.standard_normal(size), ru=(g @ g.T + np.eye(size))[None],
+                          sigma2_v=np.ones(1))
+    moments = build_moments(model, non_cooperative_config(1, 0.1))
+    solves = []
+    real_solve = analysis._steady_state
+    monkeypatch.setattr(analysis, "_steady_state", lambda *a: solves.append(1) or real_solve(*a))
+    curves = learning_curve_theory(vc, moments, None, 400)
+    assert bool(solves) == eigen_path
+    emse = recursion_learning_curve(vc, moments, None, 400, moments.ru)
+    msd = recursion_learning_curve(vc, moments, None, 400, np.eye(size))
+    np.testing.assert_allclose(curves.emse, emse, rtol=1e-10)
+    np.testing.assert_allclose(curves.msd, msd, rtol=1e-10)
 
 
 def test_learning_curve_unstable_raises():

@@ -93,6 +93,24 @@ def test_bad_emit_is_validation_error(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("iterations", -5), ("trials", "x"), ("mu", "abc"), ("mu", [0.01, 0.02])],
+    ids=["negative_iterations", "text_trials", "text_mu", "mu_list_of_wrong_length"],
+)
+def test_malformed_field_is_validation_error(tmp_path, capsys, field, value):
+    doc = base_config(tmp_path / "x")
+    if field == "mu":
+        doc["strategy"]["mu"] = value
+    else:
+        doc[field] = value
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--nonsense"])

@@ -176,6 +176,36 @@ def test_adapt_weights_rows_sum_one_nonnegative():
         assert np.all(entries[~state.support] == 0.0)
 
 
+def _adapt_weights_scatter(state, psi, w_prev, floor=combiners.VARIANCE_FLOOR):
+    """Reference form: boolean-mask scatter of the support entries."""
+    d2 = ((psi[:, None, :] - w_prev[None, :, :]) ** 2).sum(axis=2)
+    sup = state.support
+    nu = state.nu[None, :]
+    state.gamma2[sup] = ((1.0 - nu) * state.gamma2 + nu * d2)[sup]
+    inv = 1.0 / np.where(sup, np.maximum(state.gamma2, floor), np.inf)
+    return state, inv / inv.sum(axis=0, keepdims=True), bool(np.any(state.gamma2[sup] < floor))
+
+
+def test_adapt_weights_all_matches_scatter_form():
+    rng = np.random.default_rng(22)
+    t = graph.random_connected_topology(8, rng)
+    state = init_variance_state(t, nu=rng.uniform(0.2, 0.6, 8))
+    ref = init_variance_state(t, nu=state.nu)
+    hits = 0
+    for i in range(200):
+        psi = rng.standard_normal((8, 3))
+        # zero increments from step 120 on drive estimates under the floor
+        w_prev = psi if i >= 120 else rng.standard_normal((8, 3))
+        state, entries, floored = adapt_weights_all(state, psi, w_prev)
+        ref, entries_ref, floored_ref = _adapt_weights_scatter(ref, psi, w_prev)
+        assert np.array_equal(state.gamma2, ref.gamma2)
+        assert np.array_equal(entries, entries_ref)
+        assert floored == floored_ref
+        assert np.all(state.gamma2[~state.support] == 0.0)
+        hits += floored
+    assert 0 < hits < 80
+
+
 def test_adaptive_weights_converge_to_static_rule():
     # stationary ATC run: time-averaged adaptive weights approach the static
     # relative-variance rule computed from the true variance products

@@ -4,6 +4,7 @@ import pytest
 from diffnet.datamodel import (
     EnsembleModel,
     LinkNoiseModel,
+    _psd_factors,
     generate_model,
     model_from_dict,
     model_to_dict,
@@ -79,6 +80,26 @@ def test_zero_link_noise_draws_exact_zero():
     assert np.all(draws.vw == 0.0)
     assert np.all(draws.vpsi == 0.0)
     assert np.all(draws.vd == 0.0)
+
+
+def test_link_draws_match_three_draw_transform():
+    # one draw of 2 N^2 M + N^2 normals must consume the generator as the
+    # three per-field draws did, and the pair-restricted transform must give
+    # the full (N, N) transform's values
+    t = graph.random_connected_topology(7, np.random.default_rng(8))
+    for w_scale in (0.0, 1e-3):
+        lm = random_link_noise(t, 3, np.random.default_rng(9), w_scale=w_scale)
+        rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+        for _ in range(20):
+            draws = sample_link_noise(lm, rng)
+            fw, fpsi = (_psd_factors(cov, name) for cov, name in ((lm.rw, "rw"), (lm.rpsi, "rpsi")))
+            vw = np.einsum("lkij,lkj->lki", fw, ref_rng.standard_normal((7, 7, 3)))
+            vpsi = np.einsum("lkij,lkj->lki", fpsi, ref_rng.standard_normal((7, 7, 3)))
+            vd = np.sqrt(lm.sigma2_d) * ref_rng.standard_normal((7, 7))
+            np.testing.assert_allclose(draws.vw, vw, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(draws.vpsi, vpsi, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(draws.vd, vd)
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_link_noise_empirical_covariance():

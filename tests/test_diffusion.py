@@ -7,6 +7,7 @@ from diffnet.datamodel import (
     EnsembleModel,
     Snapshot,
     generate_model,
+    random_link_noise,
     sample_link_noise,
     sample_snapshot,
     zero_link_noise,
@@ -432,6 +433,96 @@ def test_divergence_sentinel():
     res = simulate_trial(model, cfg, 20000, np.random.default_rng(0))
     assert res.diverged
     assert np.isinf(res.msd_node[-1]).all()
+
+
+def per_step_trial(model, cfg, iterations, rng, topology=None):
+    """Reference trial loop: the error metrics and the sentinel after every step."""
+    state = init_state(cfg, model.m, topology=topology)
+    msd_node = np.empty((iterations, model.n))
+    emse_node = np.empty((iterations, model.n))
+    sentinel2 = (diffusion.SENTINEL * (1.0 + np.linalg.norm(model.wo))) ** 2
+    diverged_at = None
+    for i in range(iterations):
+        snap = sample_snapshot(model, rng)
+        if cfg.variant == diffusion.CONSENSUS_LMS:
+            state = consensus_lms_step(state, cfg.a2, cfg.mu, snap)
+        elif cfg.smoothing is not None:
+            state = smoothing_step(state, cfg, snap)
+        elif cfg.link_noise is not None:
+            state = adaptive_step(state, cfg, snap, sample_link_noise(cfg.link_noise, rng))
+        else:
+            state = adaptive_step(state, cfg, snap)
+        err = model.wo[None, :] - state.w
+        msd_node[i] = (err**2).sum(axis=1)
+        emse_node[i] = np.einsum("km,kmn,kn->k", err, model.ru, err)
+        scale = (state.w**2).sum()
+        if scale > sentinel2 or not np.isfinite(scale):
+            diverged_at = i
+            msd_node[i + 1:] = np.inf
+            emse_node[i + 1:] = np.inf
+            break
+    return msd_node, emse_node, state, diverged_at
+
+
+def _variant_configs(t, m, rng):
+    a = combiners.build_combination(t, "metropolis")
+    c = combiners.build_combination(t, "metropolis")
+    eye = identity_combination(t.n, t)
+    return {
+        "atc": atc_config(a, c, 0.05),
+        "noisy_links": general_config(
+            a, a, c, 0.05, link_noise=random_link_noise(t, m, rng, w_scale=1e-3)
+        ),
+        "adaptive_weights": atc_config(a, eye, 0.05, adaptive_weights=AdaptiveWeightConfig()),
+        "consensus_lms": consensus_lms_config(a, 0.05),
+        "smoothing": atc_config(
+            a, c, 0.05, smoothing=SmoothingConfig(order="TSA", f=[[0.5, 0.3, 0.2]], q=1.0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("variant", ["atc", "noisy_links", "adaptive_weights", "consensus_lms", "smoothing"])
+def test_blocked_trial_matches_per_step_oracle(variant):
+    rng = np.random.default_rng(41)
+    t = graph.random_connected_topology(6, rng)
+    model = generate_model(rng, 6, 3)
+    cfg = _variant_configs(t, 3, rng)[variant]
+    res = simulate_trial(model, cfg, 150, np.random.default_rng(42), topology=t)
+    msd, emse, state, diverged_at = per_step_trial(model, cfg, 150, np.random.default_rng(42), t)
+    assert res.diverged_at is diverged_at is None
+    np.testing.assert_array_equal(res.msd_node, msd)
+    np.testing.assert_array_equal(res.emse_node, emse)
+    np.testing.assert_array_equal(res.state.w, state.w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "variant, mu_scale, block",
+    [
+        ("non_cooperative", 0.8, 1),  # slow growth: crosses in the second block
+        ("adaptive_weights", 1.3, 4),
+        ("non_cooperative", 1e5, 0),  # the rest of the block overflows to inf and NaN
+    ],
+)
+def test_blocked_trial_divergence_matches_per_step_oracle(variant, mu_scale, block):
+    rng = np.random.default_rng(14)
+    t = graph.random_connected_topology(3, rng)
+    model = generate_model(rng, 3, 2)
+    mu = mu_scale * step_size_bounds(model, identity_combination(3))
+    if variant == "non_cooperative":
+        cfg = non_cooperative_config(3, mu)
+    else:
+        a = combiners.build_combination(t, "metropolis")
+        cfg = atc_config(a, identity_combination(3, t), mu, adaptive_weights=AdaptiveWeightConfig())
+    iterations = 20000
+    res = simulate_trial(model, cfg, iterations, np.random.default_rng(0), topology=t)
+    msd, emse, _, diverged_at = per_step_trial(model, cfg, iterations, np.random.default_rng(0), t)
+    # the divergence lands inside a block, so the block steps on past it
+    assert diverged_at // 64 == block and diverged_at % 64 != 63
+    assert res.diverged and res.diverged_at == diverged_at
+    np.testing.assert_array_equal(res.msd_node, msd)
+    np.testing.assert_array_equal(res.emse_node, emse)
+    assert np.isinf(res.msd_node[diverged_at + 1:]).all()
 
 
 def test_run_trials_deterministic():

@@ -8,7 +8,7 @@ from diffnet.kalman import (
     KfState,
     StateSpaceModel,
     centralized_kf_step,
-    ckf_combine,
+    ckf_weights,
     ckf_step,
     dkf_tm_step,
     init_kf_states,
@@ -136,7 +136,7 @@ def test_identity_combination_keeps_nodes_independent():
 def test_ckf_combine_example():
     t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [1, 3]]})
     psis = np.array([[1.0], [2.0], [3.0]])
-    out = ckf_combine(psis, t, 0.1)
+    out = ckf_weights(t, 0.1).neighbor_sum(psis)
     # node 1 has degree 3: 0.8 * 1 + 0.1 * 2 + 0.1 * 3 = 1.3
     assert out[0, 0] == pytest.approx(1.3)
 
@@ -144,13 +144,13 @@ def test_ckf_combine_example():
 def test_ckf_combine_zero_epsilon_identity():
     t = graph.random_connected_topology(4, np.random.default_rng(3))
     psis = np.random.default_rng(4).standard_normal((4, 2))
-    np.testing.assert_array_equal(ckf_combine(psis, t, 0.0), psis)
+    np.testing.assert_array_equal(ckf_weights(t, 0.0).neighbor_sum(psis), psis)
 
 
 def test_ckf_combine_negative_self_weight_rejected():
     t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
     with pytest.raises(PreconditionError):
-        ckf_combine(np.zeros((3, 1)), t, 0.6)  # degree 3 -> self weight < 0
+        ckf_weights(t, 0.6)  # degree 3 -> self weight < 0
 
 
 def test_ckf_combine_matches_diffusion_with_epsilon_weights():
@@ -166,10 +166,12 @@ def test_ckf_combine_matches_diffusion_with_epsilon_weights():
     a_eps = CombinationMatrix(entries, "left", supported_on=t)
     s_diff = init_kf_states(model)
     s_cons = init_kf_states(model)
+    weights = ckf_weights(t, eps)
+    np.testing.assert_array_equal(weights.entries, entries)
     _, ys = simulate_state_trajectory(model, 100, rng)
     for i in range(100):
         s_diff = dkf_tm_step(s_diff, t, a_eps, model, ys[i])
-        s_cons = ckf_step(s_cons, t, model, ys[i], eps)
+        s_cons = ckf_step(s_cons, t, model, ys[i], weights)
         assert np.abs(s_diff.x_filt - s_cons.x_filt).max() < 1e-12
 
 
