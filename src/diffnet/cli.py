@@ -1,9 +1,45 @@
-"""Experiment runner: config loading, theory + Monte Carlo pipelines, CSV and
+"""Experiment runner: config parsing, theory + Monte Carlo pipelines, CSV and
 summary emission.
 
 Exit status: 0 on success, 2 on validation failure, 3 when an asserted
 ordering or equivalence check fails.  Given the same config and seed, every
 emitted file is byte-identical across runs.
+
+Config schema (``SCHEMA`` below).  A config is one JSON object of sections.
+A section that is not an object, a key that its section does not list and a
+variant outside ``diffusion.VARIANTS`` are validation errors.  Defaults are
+in brackets.
+
+  top level         seed (required), trials [1], iterations [0], outputs
+                    ["out"], topology, model, strategy
+  topology          n, and edges [[]] (1-based node pairs) or random
+  random            seed [0], edge_prob [0.3]
+  model             generator, or wo, ru and sigma2_v
+  generator         seed, N, M, eigen_range [[0.5, 2]],
+                    noise_range [[0.001, 0.01]]
+  strategy          by subcommand:
+    simulate, analyze  the LMS strategy, whose keys depend on its variant:
+      atc, cta           variant [atc], mu [0.01], a, c, link_noise,
+                         smoothing, adaptive_weights
+      general            the same with a1 and a2 in place of a
+      consensus_lms      the same without c
+      non_cooperative    the same without a and c
+    compare            a, c, mu [0.01]
+    consensus          a [metropolis], block_size [1]; iterations [200]
+    rls                rls [{}]; iterations [500]
+    kalman             kalman; iterations [100]
+  rls               lambda [0.995], delta [100], a, c
+  kalman            f, g, h, q, r, pi0 (all required), a [metropolis],
+                    epsilon [0.1]
+  link_noise        seed [0], w_scale [0], psi_scale [0], d_scale [0]
+  smoothing         order, f (both required), q [1]
+  adaptive_weights  nu [0.05]
+  a, a1, a2, c      a matrix: a rule name such as "metropolis" or
+                    "identity"; or {"rule": name} plus the rule's parameter,
+                    gamma for laplacian, gamma2 for relative_variance or
+                    sigma2_v for relative_degree_variance [the model's];
+                    or {"entries", "kind" [left for a, right for c]}.
+                    An absent matrix is the identity.
 """
 
 from __future__ import annotations
@@ -18,12 +54,53 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, combiners, diffusion, kalman, rls
-from .datamodel import generate_model, model_from_dict, model_to_dict, random_link_noise, sample_snapshot
+from .datamodel import EnsembleModel, generate_model, model_to_dict, random_link_noise, sample_snapshot
 from .errors import DiffnetError, ValidationError
 from .graph import Topology, random_connected_topology, topology_from_dict, topology_to_dict
 from .stochmat import DOUBLY, LEFT, RIGHT, CombinationMatrix, identity_combination, second_eigenvalue_magnitude
 
-EMITS = ("learning_curve", "steady_state", "theory", "comparison")
+# LMS variant -> the strategy keys that set (a1, a2, c); None is the identity
+LMS_MATRICES = {
+    diffusion.GENERAL: ("a1", "a2", "c"),
+    diffusion.ATC: (None, "a", "c"),
+    diffusion.CTA: ("a", None, "c"),
+    diffusion.CONSENSUS_LMS: (None, "a", None),
+    diffusion.NON_COOPERATIVE: (None, None, None),
+}
+MATRIX_RULES = (*combiners.RULES, "identity")
+
+# section -> the keys the code reads from it; a section with two forms has
+# one entry per form
+SCHEMA = {
+    "config": {"seed", "trials", "iterations", "outputs", "topology", "model", "strategy"},
+    "topology": {"n", "edges"},
+    "topology.random": {"n", "random"},
+    "random": {"seed", "edge_prob"},
+    "model": {"wo", "ru", "sigma2_v"},
+    "model.generator": {"generator"},
+    "generator": {"seed", "N", "M", "eigen_range", "noise_range"},
+    **{
+        f"strategy.{variant}": {"variant", "mu", "link_noise", "smoothing", "adaptive_weights"}
+        | set(keys) - {None}
+        for variant, keys in LMS_MATRICES.items()
+    },
+    "strategy.compare": {"a", "c", "mu"},
+    "strategy.consensus": {"a", "block_size"},
+    "strategy.rls": {"rls"},
+    "strategy.kalman": {"kalman"},
+    "rls": {"lambda", "delta", "a", "c"},
+    "kalman": {"f", "g", "h", "q", "r", "pi0", "a", "epsilon"},
+    "link_noise": {"seed", "w_scale", "psi_scale", "d_scale"},
+    "smoothing": {"order", "f", "q"},
+    "adaptive_weights": {"nu"},
+    "matrix": {"entries", "kind"},
+    **{f"matrix.{rule}": {"rule"} for rule in MATRIX_RULES},
+    "matrix.laplacian": {"rule", "gamma"},
+    "matrix.relative_variance": {"rule", "gamma2"},
+    "matrix.relative_degree_variance": {"rule", "sigma2_v"},
+}
+
+_REQUIRED = object()
 
 
 def to_db(x) -> float:
@@ -41,23 +118,45 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _int_field(doc: dict, key: str, default, minimum: int) -> int:
-    raw = doc.get(key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+def _array(raw) -> np.ndarray:
+    return np.asarray(raw, dtype=float)
+
+
+_KINDS = {int: "an integer", float: "a number", _array: "a number or a list of numbers"}
+RULE_PARAMS = {"gamma": float, "gamma2": _array, "sigma2_v": _array}
+
+
+def _section(value, where: str, schema: str) -> dict:
+    """``value`` checked as a section that uses only ``SCHEMA[schema]``'s keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object, got {json.dumps(value)}")
+    unknown = value.keys() - SCHEMA[schema]
+    if unknown:
+        raise ValidationError(
+            f"{where}: unknown key {', '.join(map(repr, sorted(unknown)))}; "
+            f"it accepts {', '.join(sorted(SCHEMA[schema]))}"
+        )
     return value
 
 
-def _step_sizes(strategy: dict) -> np.ndarray:
-    raw = strategy.get("mu", 0.01)
+def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=None):
+    """``section[key]`` converted by ``kind`` (int, float or _array)."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing key {key!r}")
+        return default
+    raw = section[key]
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"mu must be a number or a list of numbers, got {raw!r}") from None
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}.{key} must be {_KINDS[kind]}, got {json.dumps(raw)}") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{where}.{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _form(value, key: str) -> bool:
+    return isinstance(value, dict) and key in value
 
 
 @dataclass
@@ -69,120 +168,147 @@ class ExperimentConfig:
     topology: dict
     strategy: dict
     outputs: str
-    emit: list
-    raw: dict
 
     @classmethod
     def load(cls, path, overrides=None) -> "ExperimentConfig":
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = _section(json.load(fh), "config", "config")
         overrides = overrides or {}
-        for key in ("seed", "trials", "out", "emit"):
+        for key in ("seed", "trials", "out"):
             if overrides.get(key) is not None:
                 doc[{"out": "outputs"}.get(key, key)] = overrides[key]
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
-        emit = list(doc.get("emit", ["learning_curve", "steady_state", "theory"]))
-        bad = [e for e in emit if e not in EMITS]
-        if bad:
-            raise ValidationError(f"unknown emit entries {bad}; choose from {EMITS}")
+        outputs = doc.get("outputs", "out")
+        if not isinstance(outputs, str):
+            raise ValidationError(f"config.outputs must be a path, got {json.dumps(outputs)}")
         return cls(
-            seed=_int_field(doc, "seed", None, 0),
-            trials=_int_field(doc, "trials", 1, 1),
-            iterations=_int_field(doc, "iterations", 0, 0),
+            seed=_get(doc, "config", "seed", int, minimum=0),
+            trials=_get(doc, "config", "trials", int, 1, minimum=1),
+            iterations=_get(doc, "config", "iterations", int, 0, minimum=0),
             model=doc.get("model", {}),
             topology=doc.get("topology", {}),
             strategy=doc.get("strategy", {}),
-            outputs=str(doc.get("outputs", "out")),
-            emit=emit,
-            raw=doc,
+            outputs=outputs,
         )
 
 
 def build_topology_spec(spec: dict) -> Topology:
-    if "random" in spec:
-        params = spec["random"]
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        return random_connected_topology(int(spec["n"]), rng, float(params.get("edge_prob", 0.3)))
-    return topology_from_dict(spec)
+    if _form(spec, "random"):
+        _section(spec, "topology", "topology.random")
+        params = _section(spec["random"], "topology.random", "random")
+        rng = np.random.default_rng(_get(params, "topology.random", "seed", int, 0, minimum=0))
+        n = _get(spec, "topology", "n", int, minimum=1)
+        return random_connected_topology(n, rng, _get(params, "topology.random", "edge_prob", float, 0.3))
+    _section(spec, "topology", "topology")
+    edges = _get(spec, "topology", "edges", _array, np.empty((0, 2)))
+    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise ValidationError(f"topology.edges must be a list of [a, b] pairs, got {json.dumps(spec['edges'])}")
+    return topology_from_dict({"n": _get(spec, "topology", "n", int, minimum=1), "edges": edges.astype(int).tolist()})
 
 
-def build_model_spec(spec: dict, n: int):
-    model = model_from_dict(spec)
+def _pair(section: dict, where: str, key: str, default) -> tuple:
+    value = _get(section, where, key, _array, np.asarray(default))
+    if value.shape != (2,):
+        raise ValidationError(f"{where}.{key} must be a [low, high] pair, got {json.dumps(section[key])}")
+    return tuple(value.tolist())
+
+
+def build_model_spec(spec: dict, n: int) -> EnsembleModel:
+    if _form(spec, "generator"):
+        _section(spec, "model", "model.generator")
+        gen, where = _section(spec["generator"], "model.generator", "generator"), "model.generator"
+        model = generate_model(
+            np.random.default_rng(_get(gen, where, "seed", int, minimum=0)),
+            _get(gen, where, "N", int, minimum=1),
+            _get(gen, where, "M", int, minimum=1),
+            _pair(gen, where, "eigen_range", (0.5, 2.0)),
+            _pair(gen, where, "noise_range", (0.001, 0.01)),
+        )
+    else:
+        _section(spec, "model", "model")
+        model = EnsembleModel(**{key: _get(spec, "model", key, _array) for key in ("wo", "ru", "sigma2_v")})
     if model.n != n:
         raise ValidationError(f"model has {model.n} nodes but topology has {n}")
     return model
 
 
-def _matrix_from_spec(spec, t: Topology, model, role: str) -> CombinationMatrix:
+def _matrix_from_spec(spec, t: Topology, model, role: str, where: str = "") -> CombinationMatrix:
     """role is 'a' (left) or 'c' (right); rule-built left matrices are
     transposed when a right-stochastic C is requested."""
-    if spec is None or spec == "identity" or spec.get("rule") == "identity":
+    where = where or role
+    if spec is None:
         return identity_combination(t.n, t)
-    if "entries" in spec:
+    if _form(spec, "entries"):
+        _section(spec, where, "matrix")
         kind = spec.get("kind", LEFT if role == "a" else RIGHT)
-        return CombinationMatrix(np.asarray(spec["entries"], dtype=float), kind, supported_on=t)
-    rule = spec["rule"]
-    params = {}
-    if rule == "laplacian":
-        params["gamma"] = float(spec["gamma"])
-    if rule == "relative_variance":
-        params["gamma2"] = np.asarray(spec["gamma2"], dtype=float)
-    if rule == "relative_degree_variance":
-        params["sigma2_v"] = model.sigma2_v if spec.get("sigma2_v") is None else np.asarray(
-            spec["sigma2_v"], dtype=float
+        return CombinationMatrix(_get(spec, where, "entries", _array), kind, supported_on=t)
+    if isinstance(spec, str):
+        spec = {"rule": spec}
+    rule = spec.get("rule") if isinstance(spec, dict) else None
+    if rule not in MATRIX_RULES:
+        raise ValidationError(
+            f"{where} must be a rule ({', '.join(MATRIX_RULES)}) or give entries, got {json.dumps(spec)}"
         )
+    _section(spec, where, f"matrix.{rule}")
+    if rule == "identity":
+        return identity_combination(t.n, t)
+    params = {key: _get(spec, where, key, RULE_PARAMS[key]) for key in spec.keys() - {"rule"}}
+    if rule == "relative_degree_variance" and model is not None:
+        params.setdefault("sigma2_v", model.sigma2_v)
     cm = combiners.build_combination(t, rule, **params)
     if role == "c" and cm.kind == LEFT:
         cm = cm.transpose()
     return cm
 
 
+def _strategy(strategy, command: str) -> dict:
+    return _section(strategy, "strategy", f"strategy.{command}")
+
+
+def _mu(section: dict, where: str) -> np.ndarray:
+    return _get(section, where, "mu", _array, np.asarray(0.01))
+
+
 def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionConfig:
-    variant = strategy.get("variant", "atc")
-    mu = _step_sizes(strategy)
-    c = _matrix_from_spec(strategy.get("c"), t, model, "c")
+    variant = strategy.get("variant", diffusion.ATC) if isinstance(strategy, dict) else diffusion.ATC
+    if variant not in diffusion.VARIANTS:
+        raise ValidationError(
+            f"strategy.variant must be one of {', '.join(diffusion.VARIANTS)}, got {json.dumps(variant)}"
+        )
+    _strategy(strategy, variant)
     kw = {}
     if "adaptive_weights" in strategy:
+        aw = _section(strategy["adaptive_weights"], "strategy.adaptive_weights", "adaptive_weights")
         kw["adaptive_weights"] = diffusion.AdaptiveWeightConfig(
-            nu=float(strategy["adaptive_weights"].get("nu", 0.05))
+            nu=_get(aw, "strategy.adaptive_weights", "nu", float, 0.05)
         )
     if "link_noise" in strategy:
-        ln = strategy["link_noise"]
-        rng = np.random.default_rng(int(ln.get("seed", 0)))
+        where = "strategy.link_noise"
+        ln = _section(strategy["link_noise"], where, "link_noise")
         kw["link_noise"] = random_link_noise(
             t,
             model.m,
-            rng,
-            w_scale=float(ln.get("w_scale", 0.0)),
-            psi_scale=float(ln.get("psi_scale", 0.0)),
-            d_scale=float(ln.get("d_scale", 0.0)),
+            np.random.default_rng(_get(ln, where, "seed", int, 0, minimum=0)),
+            **{key: _get(ln, where, key, float, 0.0) for key in ("w_scale", "psi_scale", "d_scale")},
         )
     if "smoothing" in strategy:
-        sm = strategy["smoothing"]
+        where = "strategy.smoothing"
+        sm = _section(strategy["smoothing"], where, "smoothing")
         kw["smoothing"] = diffusion.SmoothingConfig(
-            order=sm["order"],
-            f=np.asarray(sm["f"], dtype=float),
-            q=np.asarray(sm.get("q", 1.0), dtype=float),
+            order=sm.get("order"),
+            f=_get(sm, where, "f", _array),
+            q=_get(sm, where, "q", _array, np.asarray(1.0)),
         )
-
-    if variant in (diffusion.ATC, diffusion.CTA, diffusion.CONSENSUS_LMS):
-        a = _matrix_from_spec(strategy.get("a"), t, model, "a")
-        builder = {
-            diffusion.ATC: diffusion.atc_config,
-            diffusion.CTA: diffusion.cta_config,
-        }.get(variant)
-        if variant == diffusion.CONSENSUS_LMS:
-            return diffusion.consensus_lms_config(a, mu, **kw)
-        return builder(a, c, mu, **kw)
-    if variant == diffusion.NON_COOPERATIVE:
-        return diffusion.non_cooperative_config(t.n, mu, **kw)
-    a1 = _matrix_from_spec(strategy.get("a1"), t, model, "a")
-    a2 = _matrix_from_spec(strategy.get("a2"), t, model, "a")
-    return diffusion.general_config(a1, a2, c, mu, **kw)
+    a1, a2, c = (
+        _matrix_from_spec(strategy.get(key) if key else None, t, model, role, f"strategy.{key}")
+        for key, role in zip(LMS_MATRICES[variant], "aac")
+    )
+    return diffusion.DiffusionConfig(a1, a2, c, _mu(strategy, "strategy"), variant=variant, **kw)
 
 
 def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -207,6 +333,7 @@ def _jsonable(x):
 
 
 def _write_summary(path: Path, summary: dict):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -223,13 +350,29 @@ def _theory(model, cfg):
     return moments, constructs, report, analysis.mean_stability(constructs, moments, cfg)
 
 
+def _inputs(t: Topology, model, cfg) -> dict:
+    """Everything the theory numbers are computed from."""
+    return {
+        "topology": topology_to_dict(t),
+        "model": model_to_dict(model),
+        "a1": cfg.a1.entries,
+        "a2": cfg.a2.entries,
+        "c": cfg.c.entries,
+        "mu": cfg.mu,
+    }
+
+
+def _lms_setup(config: ExperimentConfig):
+    """Topology, model and LMS strategy of a simulate or analyze run."""
+    t = build_topology_spec(config.topology)
+    model = build_model_spec(config.model, t.n)
+    return t, model, build_strategy(config.strategy, t, model)
+
+
 def run(config: ExperimentConfig) -> dict:
     """Theory + Monte Carlo pipeline; returns the summary dict."""
     outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t = build_topology_spec(config.topology)
-    model = build_model_spec(config.model, t.n)
-    cfg = build_strategy(config.strategy, t, model)
+    t, model, cfg = _lms_setup(config)
 
     moments, constructs, report, stability = _theory(model, cfg)
 
@@ -237,70 +380,68 @@ def run(config: ExperimentConfig) -> dict:
         model, cfg, config.iterations, config.trials, config.seed, topology=t
     )
 
-    if "learning_curve" in config.emit:
-        if report.stable_ms and config.iterations > 0:
-            zeta, msd_theory_curve = analysis.learning_curve_theory(
-                constructs, moments, None, config.iterations
-            )
-        else:
-            zeta = np.full(config.iterations + 1, float("nan"))
-            msd_theory_curve = zeta
-        rows = [
-            (
-                i,
-                _fmt(to_db(mc.emse_curve[i])),
-                _fmt(to_db(zeta[i])),
-                _fmt(to_db(mc.msd_curve[i])),
-                _fmt(to_db(msd_theory_curve[i])),
-            )
-            for i in range(config.iterations)
-        ]
-        _write_csv(
-            outdir / "learning_curve.csv",
-            ["i", "emse_sim_db", "emse_theory_db", "msd_sim_db", "msd_theory_db"],
-            rows,
+    if report.stable_ms and config.iterations > 0:
+        zeta, msd_theory_curve = analysis.learning_curve_theory(
+            constructs, moments, None, config.iterations
         )
+    else:
+        zeta = np.full(config.iterations + 1, float("nan"))
+        msd_theory_curve = zeta
+    rows = [
+        (
+            i,
+            _fmt(to_db(mc.emse_curve[i])),
+            _fmt(to_db(zeta[i])),
+            _fmt(to_db(mc.msd_curve[i])),
+            _fmt(to_db(msd_theory_curve[i])),
+        )
+        for i in range(config.iterations)
+    ]
+    _write_csv(
+        outdir / "learning_curve.csv",
+        ["i", "emse_sim_db", "emse_theory_db", "msd_sim_db", "msd_theory_db"],
+        rows,
+    )
 
     msd_ss = diffusion.steady_state(mc.msd_node_curve) if config.iterations else np.full(t.n, float("nan"))
     emse_ss = diffusion.steady_state(mc.emse_node_curve) if config.iterations else np.full(t.n, float("nan"))
-    if "steady_state" in config.emit:
-        rows = []
-        for k in range(t.n):
-            rows.append(
-                (
-                    k + 1,
-                    _fmt(float(msd_ss[k])),
-                    _fmt(to_db(msd_ss[k])),
-                    _fmt(float(report.msd_node[k])),
-                    _fmt(to_db(report.msd_node[k])),
-                    _fmt(float(emse_ss[k])),
-                    _fmt(to_db(emse_ss[k])),
-                    _fmt(float(report.emse_node[k])),
-                    _fmt(to_db(report.emse_node[k])),
-                )
-            )
+    rows = []
+    for k in range(t.n):
         rows.append(
             (
-                "network",
-                _fmt(float(msd_ss.mean())),
-                _fmt(to_db(msd_ss.mean())),
-                _fmt(report.msd_network),
-                _fmt(to_db(report.msd_network)),
-                _fmt(float(emse_ss.mean())),
-                _fmt(to_db(emse_ss.mean())),
-                _fmt(report.emse_network),
-                _fmt(to_db(report.emse_network)),
+                k + 1,
+                _fmt(float(msd_ss[k])),
+                _fmt(to_db(msd_ss[k])),
+                _fmt(float(report.msd_node[k])),
+                _fmt(to_db(report.msd_node[k])),
+                _fmt(float(emse_ss[k])),
+                _fmt(to_db(emse_ss[k])),
+                _fmt(float(report.emse_node[k])),
+                _fmt(to_db(report.emse_node[k])),
             )
         )
-        _write_csv(
-            outdir / "steady_state.csv",
-            [
-                "node",
-                "msd_sim", "msd_sim_db", "msd_theory", "msd_theory_db",
-                "emse_sim", "emse_sim_db", "emse_theory", "emse_theory_db",
-            ],
-            rows,
+    rows.append(
+        (
+            "network",
+            _fmt(float(msd_ss.mean())),
+            _fmt(to_db(msd_ss.mean())),
+            _fmt(report.msd_network),
+            _fmt(to_db(report.msd_network)),
+            _fmt(float(emse_ss.mean())),
+            _fmt(to_db(emse_ss.mean())),
+            _fmt(report.emse_network),
+            _fmt(to_db(report.emse_network)),
         )
+    )
+    _write_csv(
+        outdir / "steady_state.csv",
+        [
+            "node",
+            "msd_sim", "msd_sim_db", "msd_theory", "msd_theory_db",
+            "emse_sim", "emse_sim_db", "emse_theory", "emse_theory_db",
+        ],
+        rows,
+    )
 
     gap_db = to_db(float(msd_ss.mean())) - to_db(report.msd_network)
     summary = {
@@ -318,32 +459,19 @@ def run(config: ExperimentConfig) -> dict:
         "msd_sim": float(msd_ss.mean()),
         "emse_sim": float(emse_ss.mean()),
         "msd_gap_db": gap_db,
-        "inputs": {
-            "topology": topology_to_dict(t),
-            "model": model_to_dict(model),
-            "a1": cfg.a1.entries,
-            "a2": cfg.a2.entries,
-            "c": cfg.c.entries,
-            "mu": cfg.mu,
-        },
+        "inputs": _inputs(t, model, cfg),
     }
     _write_summary(outdir / "summary.json", summary)
     return summary
 
 
-def cmd_simulate(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
+def cmd_simulate(config: ExperimentConfig) -> int:
     run(config)
     return 0
 
 
-def cmd_analyze(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t = build_topology_spec(config.topology)
-    model = build_model_spec(config.model, t.n)
-    cfg = build_strategy(config.strategy, t, model)
+def cmd_analyze(config: ExperimentConfig) -> int:
+    t, model, cfg = _lms_setup(config)
     _, _, report, stability = _theory(model, cfg)
     summary = {
         "rho_b": report.rho_b,
@@ -354,28 +482,19 @@ def cmd_analyze(args) -> int:
         "emse_theory": report.emse_network,
         "msd_node_theory": report.msd_node,
         "emse_node_theory": report.emse_node,
-        "inputs": {
-            "topology": topology_to_dict(t),
-            "model": model_to_dict(model),
-            "a1": cfg.a1.entries,
-            "a2": cfg.a2.entries,
-            "c": cfg.c.entries,
-            "mu": cfg.mu,
-        },
+        "inputs": _inputs(t, model, cfg),
     }
-    _write_summary(outdir / "theory.json", summary)
+    _write_summary(Path(config.outputs) / "theory.json", summary)
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_compare(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
     model = build_model_spec(config.model, t.n)
-    a = _matrix_from_spec(config.strategy.get("a"), t, model, "a")
-    c = _matrix_from_spec(config.strategy.get("c"), t, model, "c")
-    mu = _step_sizes(config.strategy)
+    strategy = _strategy(config.strategy, "compare")
+    a = _matrix_from_spec(strategy.get("a"), t, model, "a", "strategy.a")
+    c = _matrix_from_spec(strategy.get("c"), t, model, "c", "strategy.c")
+    mu = _mu(strategy, "strategy")
     report = analysis.compare_strategies(model, a, c, mu)
 
     sims = {}
@@ -400,7 +519,7 @@ def cmd_compare(args) -> int:
         for r in report.rows
     ]
     summary = {"msd_theory": report.msd, "msd_sim": sims, "rows": rows}
-    _write_summary(outdir / "comparison.json", summary)
+    _write_summary(Path(config.outputs) / "comparison.json", summary)
     violated = [r.name for r in report.rows if r.applicable and not r.holds]
     if violated:
         print(f"ordering violated: {violated}", file=sys.stderr)
@@ -408,16 +527,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_consensus(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_consensus(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
-    a = _matrix_from_spec(config.strategy.get("a", {"rule": "metropolis"}), t, None, "a")
+    strategy = _strategy(config.strategy, "consensus")
+    a = _matrix_from_spec(strategy.get("a", "metropolis"), t, None, "a", "strategy.a")
     if DOUBLY != a.kind:
         raise ValidationError("consensus averaging needs a doubly stochastic matrix")
     rng = np.random.default_rng(config.seed)
-    m = int(config.strategy.get("block_size", 1))
+    m = _get(strategy, "strategy", "block_size", int, 1, minimum=1)
     z0 = rng.standard_normal((t.n, m))
     iters = config.iterations or 200
     errors = diffusion.consensus_error_curve(a, z0, iters)
@@ -428,6 +545,7 @@ def cmd_consensus(args) -> int:
         rate_rel_err = abs(rate - lam2) / lam2 if lam2 > 0 else float("nan")
     except DiffnetError:
         rate, rate_rel_err = float("nan"), float("nan")
+    outdir = Path(config.outputs)
     _write_csv(
         outdir / "consensus.csv",
         ["n", "error"],
@@ -446,17 +564,15 @@ def cmd_consensus(args) -> int:
     return 0
 
 
-def cmd_rls(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_rls(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
     model = build_model_spec(config.model, t.n)
-    section = config.strategy.get("rls", config.strategy)
-    lam = float(section.get("lambda", rls.LAMBDA_DEFAULT))
-    delta = float(section.get("delta", rls.DELTA_DEFAULT))
-    a = _matrix_from_spec(section.get("a"), t, model, "a")
-    c = _matrix_from_spec(section.get("c"), t, model, "c")
+    where = "strategy.rls"
+    section = _section(_strategy(config.strategy, "rls").get("rls", {}), where, "rls")
+    lam = _get(section, where, "lambda", float, rls.LAMBDA_DEFAULT)
+    delta = _get(section, where, "delta", float, rls.DELTA_DEFAULT)
+    a = _matrix_from_spec(section.get("a"), t, model, "a", f"{where}.a")
+    c = _matrix_from_spec(section.get("c"), t, model, "c", f"{where}.c")
     iters = config.iterations or 500
 
     curves = {"drls": np.zeros(iters), "crls": np.zeros(iters)}
@@ -472,6 +588,7 @@ def cmd_rls(args) -> int:
     for key in curves:
         curves[key] /= config.trials
 
+    outdir = Path(config.outputs)
     _write_csv(
         outdir / "rls_curve.csv",
         ["i", "drls_msd_db", "crls_msd_db"],
@@ -494,24 +611,17 @@ def cmd_rls(args) -> int:
     return 0
 
 
-def cmd_kalman(args) -> int:
-    config = ExperimentConfig.load(args.config, vars(args))
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_kalman(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
-    section = config.strategy.get("kalman", config.strategy)
+    where = "strategy.kalman"
+    section = _section(_strategy(config.strategy, "kalman").get("kalman", {}), where, "kalman")
     model = kalman.StateSpaceModel(
-        f=np.asarray(section["f"], dtype=float),
-        g=np.asarray(section["g"], dtype=float),
-        h=np.asarray(section["h"], dtype=float),
-        q=np.asarray(section["q"], dtype=float),
-        r=np.asarray(section["r"], dtype=float),
-        pi0=np.asarray(section["pi0"], dtype=float),
+        **{key: _get(section, where, key, _array) for key in ("f", "g", "h", "q", "r", "pi0")}
     )
     if model.n_nodes != t.n:
         raise ValidationError("state-space model node count does not match topology")
-    a = _matrix_from_spec(section.get("a", {"rule": "metropolis"}), t, None, "a")
-    epsilon = float(section.get("epsilon", 0.1))
+    a = _matrix_from_spec(section.get("a", "metropolis"), t, None, "a", f"{where}.a")
+    epsilon = _get(section, where, "epsilon", float, 0.1)
     eps_weights = kalman.ckf_weights(t, epsilon)
     iters = config.iterations or 100
 
@@ -531,6 +641,7 @@ def cmd_kalman(args) -> int:
     for key in msd:
         msd[key] /= config.trials
 
+    outdir = Path(config.outputs)
     _write_csv(
         outdir / "kalman_curve.csv",
         ["i", "diffusion_msd_db", "consensus_msd_db", "central_msd_db"],
@@ -556,33 +667,36 @@ def cmd_kalman(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "analyze": cmd_analyze,
+    "compare": cmd_compare,
+    "consensus": cmd_consensus,
+    "rls": cmd_rls,
+    "kalman": cmd_kalman,
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="diffnet", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="diffnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": cmd_simulate,
-        "analyze": cmd_analyze,
-        "compare": cmd_compare,
-        "consensus": cmd_consensus,
-        "rls": cmd_rls,
-        "kalman": cmd_kalman,
-    }
-    for name, func in commands.items():
+    for name, func in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--emit", nargs="*", default=None)
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(ExperimentConfig.load(args.config, vars(args)))
     except DiffnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"config error: {exc!r}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,6 @@ def base_config(outdir, **extra):
         "topology": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
         "model": {"generator": {"seed": 5, "N": 4, "M": 2}},
         "strategy": {"variant": "atc", "a": {"rule": "metropolis"}, "c": "identity", "mu": 0.02},
-        "emit": ["learning_curve", "steady_state", "theory"],
         "outputs": str(outdir),
     }
     doc.update(extra)
@@ -83,12 +82,6 @@ def test_zero_iterations_yields_empty_curves(tmp_path):
 def test_missing_seed_is_validation_error(tmp_path):
     doc = base_config(tmp_path / "x")
     del doc["seed"]
-    cfg = write_config(tmp_path, doc)
-    assert cli.main(["simulate", "--config", cfg]) == 2
-
-
-def test_bad_emit_is_validation_error(tmp_path):
-    doc = base_config(tmp_path / "x", emit=["plots"])
     cfg = write_config(tmp_path, doc)
     assert cli.main(["simulate", "--config", cfg]) == 2
 
