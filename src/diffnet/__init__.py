@@ -5,7 +5,8 @@ diffusion LMS, diffusion RLS, diffusion Kalman filtering, consensus
 baselines, and the matching closed-form mean-square performance theory.
 """
 
-from . import analysis, cli, combiners, datamodel, diffusion, graph, kalman, rls, stochmat
+# ``cli`` is not imported here, so that ``python -m diffnet.cli`` runs it once
+from . import analysis, combiners, datamodel, diffusion, graph, kalman, rls, stochmat
 from .errors import (
     DiffnetError,
     InstabilityError,

@@ -119,11 +119,21 @@ def _fmt(x) -> str:
 
 
 def _array(raw) -> np.ndarray:
-    return np.asarray(raw, dtype=float)
+    value = np.asarray(raw, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(raw)
+    return value
 
 
-_KINDS = {int: "an integer", float: "a number", _array: "a number or a list of numbers"}
-RULE_PARAMS = {"gamma": float, "gamma2": _array, "sigma2_v": _array}
+def _number(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+_KINDS = {int: "an integer", _number: "a finite number", _array: "a finite number or a list of them"}
+RULE_PARAMS = {"gamma": _number, "gamma2": _array, "sigma2_v": _array}
 
 
 def _section(value, where: str, schema: str) -> dict:
@@ -140,7 +150,7 @@ def _section(value, where: str, schema: str) -> dict:
 
 
 def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=None):
-    """``section[key]`` converted by ``kind`` (int, float or _array)."""
+    """``section[key]`` converted by ``kind`` (int, _number or _array)."""
     if key not in section:
         if default is _REQUIRED:
             raise ValidationError(f"{where}: missing key {key!r}")
@@ -199,11 +209,12 @@ def build_topology_spec(spec: dict) -> Topology:
         params = _section(spec["random"], "topology.random", "random")
         rng = np.random.default_rng(_get(params, "topology.random", "seed", int, 0, minimum=0))
         n = _get(spec, "topology", "n", int, minimum=1)
-        return random_connected_topology(n, rng, _get(params, "topology.random", "edge_prob", float, 0.3))
+        return random_connected_topology(n, rng, _get(params, "topology.random", "edge_prob", _number, 0.3))
     _section(spec, "topology", "topology")
-    edges = _get(spec, "topology", "edges", _array, np.empty((0, 2)))
-    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
-        raise ValidationError(f"topology.edges must be a list of [a, b] pairs, got {json.dumps(spec['edges'])}")
+    edges = _get(spec, "topology", "edges", _array, [])
+    edges = edges if np.size(edges) else np.empty((0, 2))
+    if edges.ndim != 2 or edges.shape[1] != 2 or np.any(edges != np.round(edges)):
+        raise ValidationError(f"topology.edges must be a list of [a, b] node pairs, got {json.dumps(spec['edges'])}")
     return topology_from_dict({"n": _get(spec, "topology", "n", int, minimum=1), "edges": edges.astype(int).tolist()})
 
 
@@ -266,8 +277,11 @@ def _strategy(strategy, command: str) -> dict:
     return _section(strategy, "strategy", f"strategy.{command}")
 
 
-def _mu(section: dict, where: str) -> np.ndarray:
-    return _get(section, where, "mu", _array, np.asarray(0.01))
+def _mu(section: dict, where: str, n: int) -> np.ndarray:
+    mu = _get(section, where, "mu", _array, np.asarray(0.01))
+    if mu.shape not in ((), (1,), (n,)):
+        raise ValidationError(f"{where}.mu must be one step size or {n} of them, got {json.dumps(section['mu'])}")
+    return mu
 
 
 def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionConfig:
@@ -281,7 +295,7 @@ def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionCon
     if "adaptive_weights" in strategy:
         aw = _section(strategy["adaptive_weights"], "strategy.adaptive_weights", "adaptive_weights")
         kw["adaptive_weights"] = diffusion.AdaptiveWeightConfig(
-            nu=_get(aw, "strategy.adaptive_weights", "nu", float, 0.05)
+            nu=_get(aw, "strategy.adaptive_weights", "nu", _number, 0.05)
         )
     if "link_noise" in strategy:
         where = "strategy.link_noise"
@@ -290,7 +304,7 @@ def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionCon
             t,
             model.m,
             np.random.default_rng(_get(ln, where, "seed", int, 0, minimum=0)),
-            **{key: _get(ln, where, key, float, 0.0) for key in ("w_scale", "psi_scale", "d_scale")},
+            **{key: _get(ln, where, key, _number, 0.0) for key in ("w_scale", "psi_scale", "d_scale")},
         )
     if "smoothing" in strategy:
         where = "strategy.smoothing"
@@ -304,7 +318,7 @@ def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionCon
         _matrix_from_spec(strategy.get(key) if key else None, t, model, role, f"strategy.{key}")
         for key, role in zip(LMS_MATRICES[variant], "aac")
     )
-    return diffusion.DiffusionConfig(a1, a2, c, _mu(strategy, "strategy"), variant=variant, **kw)
+    return diffusion.DiffusionConfig(a1, a2, c, _mu(strategy, "strategy", t.n), variant=variant, **kw)
 
 
 def _write_csv(path: Path, header, rows):
@@ -494,7 +508,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
     strategy = _strategy(config.strategy, "compare")
     a = _matrix_from_spec(strategy.get("a"), t, model, "a", "strategy.a")
     c = _matrix_from_spec(strategy.get("c"), t, model, "c", "strategy.c")
-    mu = _mu(strategy, "strategy")
+    mu = _mu(strategy, "strategy", t.n)
     report = analysis.compare_strategies(model, a, c, mu)
 
     sims = {}
@@ -569,8 +583,8 @@ def cmd_rls(config: ExperimentConfig) -> int:
     model = build_model_spec(config.model, t.n)
     where = "strategy.rls"
     section = _section(_strategy(config.strategy, "rls").get("rls", {}), where, "rls")
-    lam = _get(section, where, "lambda", float, rls.LAMBDA_DEFAULT)
-    delta = _get(section, where, "delta", float, rls.DELTA_DEFAULT)
+    lam = _get(section, where, "lambda", _number, rls.LAMBDA_DEFAULT)
+    delta = _get(section, where, "delta", _number, rls.DELTA_DEFAULT)
     a = _matrix_from_spec(section.get("a"), t, model, "a", f"{where}.a")
     c = _matrix_from_spec(section.get("c"), t, model, "c", f"{where}.c")
     iters = config.iterations or 500
@@ -621,7 +635,7 @@ def cmd_kalman(config: ExperimentConfig) -> int:
     if model.n_nodes != t.n:
         raise ValidationError("state-space model node count does not match topology")
     a = _matrix_from_spec(section.get("a", "metropolis"), t, None, "a", f"{where}.a")
-    epsilon = _get(section, where, "epsilon", float, 0.1)
+    epsilon = _get(section, where, "epsilon", _number, 0.1)
     eps_weights = kalman.ckf_weights(t, epsilon)
     iters = config.iterations or 100
 

@@ -162,39 +162,6 @@ def init_variance_state(t: Topology, nu=0.05) -> VarianceProductState:
     )
 
 
-def adapt_weights_step(
-    state: VarianceProductState, k: int, psi, w_prev_k, floor: float = VARIANCE_FLOOR
-):
-    """Refresh node k's variance estimates and return its combination weights.
-
-    Parameters
-    ----------
-    psi : (N, M) array
-        Intermediate estimates as received by node k (rows outside N_k are
-        ignored); pass the noisy versions when links are noisy.
-    w_prev_k : (M,) array
-        Node k's estimate from the previous step.
-
-    Returns
-    -------
-    (state, weights, floored)
-        ``weights`` is a length-N vector supported on N_k and summing to 1.
-        ``floored`` flags that some estimate hit the inversion floor.
-    """
-    neighbors = np.flatnonzero(state.support[:, k])
-    nu_k = state.nu[k]
-    diffs = np.asarray(psi)[neighbors] - np.asarray(w_prev_k)[None, :]
-    state.gamma2[neighbors, k] = (1.0 - nu_k) * state.gamma2[neighbors, k] + nu_k * (
-        diffs**2
-    ).sum(axis=1)
-    g = state.gamma2[neighbors, k]
-    floored = bool(np.any(g < floor))
-    inv = 1.0 / np.maximum(g, floor)
-    weights = np.zeros(state.gamma2.shape[0])
-    weights[neighbors] = inv / inv.sum()
-    return state, weights, floored
-
-
 def adapt_weights_all(
     state: VarianceProductState, psi_received, w_prev, floor: float = VARIANCE_FLOOR
 ):

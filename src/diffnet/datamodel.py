@@ -243,8 +243,8 @@ def generate_model(
 ) -> EnsembleModel:
     """Desk-scale random model: rotated log-uniform covariance spectra and
     log-uniform noise variances; ground truth drawn uniformly on the sphere."""
-    if eigen_range[0] <= 0 or noise_range[0] <= 0:
-        raise PreconditionError("eigen_range and noise_range must be positive")
+    if not (0 < eigen_range[0] <= eigen_range[1] and 0 < noise_range[0] <= noise_range[1]):
+        raise PreconditionError("eigen_range and noise_range must be positive [low, high] pairs")
     g = rng.standard_normal(m)
     wo = g / np.linalg.norm(g)
     ru = np.empty((n_nodes, m, m))

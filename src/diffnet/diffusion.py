@@ -291,40 +291,13 @@ def consensus_lms_step(state: NetworkState, a, mu, snapshot: Snapshot) -> Networ
     return state
 
 
-def steepest_descent_step(state: NetworkState, cfg: DiffusionConfig, model: EnsembleModel) -> NetworkState:
-    """Deterministic diffusion step driven by the true moments.
-
-    The per-neighbor accumulation runs in ascending node order; the generic
-    cost step with the quadratic gradient reproduces it bit for bit.
-    """
-    if cfg.variant == CONSENSUS_LMS:
-        raise PreconditionError("steepest-descent form not defined for the consensus variant")
-    if model.n != cfg.n:
-        raise ValidationError("model size does not match configuration")
-    phi = state.w if cfg._a1_identity else cfg._a1t @ state.w
-    psi = np.empty_like(phi)
-    c = cfg._c
-    for k in range(cfg.n):
-        acc = np.zeros(model.m)
-        for l in range(cfg.n):
-            clk = c[l, k]
-            if clk == 0.0:
-                continue
-            acc += clk * (model.rdu[l] - model.ru[l] @ phi[k])
-        psi[k] = phi[k] + cfg.mu[k] * acc
-    state.w = psi if cfg._a2_identity else cfg._a2t @ psi
-    state.i += 1
-    return state
-
-
 def generic_cost_step(
     state: NetworkState, cfg: DiffusionConfig, grad_oracle, noise_oracle=None
 ) -> NetworkState:
     """Diffusion step for arbitrary per-node costs.
 
-    ``grad_oracle(l, w)`` returns the gradient of cost l at ``w`` in the
-    moment convention of the quadratic model (``R_u w - r_du``), so that the
-    quadratic oracle reproduces ``steepest_descent_step`` exactly.
+    ``grad_oracle(l, w)`` returns the gradient of cost l at ``w``; for the
+    quadratic model it is ``R_u w - r_du`` (see ``run_steepest_descent``).
     ``noise_oracle(l, w)``, when given, adds zero-mean gradient noise.
     """
     phi = state.w if cfg._a1_identity else cfg._a1t @ state.w
@@ -378,23 +351,6 @@ def smoothing_step(state: NetworkState, cfg: DiffusionConfig, snapshot: Snapshot
     state.w = x
     state.i += 1
     return state
-
-
-def consensus_average(a, z0, n_iters: int) -> np.ndarray:
-    """Iterate ``z <- (A^T (x) I) z`` for ``n_iters`` steps.
-
-    Converges to the block average iff A is doubly stochastic and
-    ``rho(A^T - 11^T/N) < 1``; divergence or oscillation is a valid
-    observable outcome and is not trapped here.
-    """
-    a_entries = a.entries if isinstance(a, CombinationMatrix) else np.asarray(a, dtype=float)
-    z = np.array(z0, dtype=float)
-    flat = z.ndim == 1
-    if flat:
-        z = z[:, None]
-    for _ in range(n_iters):
-        z = a_entries.T @ z
-    return z[:, 0] if flat else z
 
 
 def consensus_error_curve(a, z0, n_iters: int) -> np.ndarray:
@@ -540,12 +496,22 @@ def simulate_trial(
 def run_steepest_descent(
     model: EnsembleModel, cfg: DiffusionConfig, iterations: int, w0=None
 ) -> tuple[np.ndarray, NetworkState]:
-    """Deterministic trajectory of ||w_i - wo|| per iteration."""
+    """Deterministic trajectory of ||w_i - wo|| per iteration: the diffusion
+    step driven by the true moments, i.e. the generic cost step with the
+    quadratic gradient ``R_u,l w - r_du,l``."""
+    if cfg.variant == CONSENSUS_LMS:
+        raise PreconditionError("steepest-descent form not defined for the consensus variant")
+    if model.n != cfg.n:
+        raise ValidationError("model size does not match configuration")
+
+    def gradient(l, w):
+        return model.ru[l] @ w - model.rdu[l]
+
     state = init_state(cfg, model.m, w0=w0)
     dev = np.empty(iterations)
     sentinel = SENTINEL * (1.0 + np.linalg.norm(model.wo))
     for i in range(iterations):
-        state = steepest_descent_step(state, cfg, model)
+        state = generic_cost_step(state, cfg, gradient)
         dev[i] = np.linalg.norm(model.wo[None, :] - state.w)
         if not np.isfinite(dev[i]) or np.linalg.norm(state.w) > sentinel:
             dev[i + 1:] = np.inf

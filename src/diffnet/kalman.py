@@ -57,9 +57,11 @@ class StateSpaceModel:
         qm = np.asarray(self.q, dtype=float)
         r = np.asarray(self.r, dtype=float)
         pi0 = np.asarray(self.pi0, dtype=float)
-        n = f.shape[0]
-        if f.shape != (n, n) or g.shape[0] != n or pi0.shape != (n, n):
+        n = f.shape[0] if f.ndim == 2 else -1
+        if f.shape != (n, n) or g.ndim != 2 or g.shape[0] != n or pi0.shape != (n, n):
             raise ValidationError("inconsistent state dimensions")
+        if qm.shape != (g.shape[1], g.shape[1]):
+            raise ValidationError(f"q must be ({g.shape[1]}, {g.shape[1]}) to match g, got {qm.shape}")
         if h.ndim != 3 or h.shape[2] != n or r.shape != (h.shape[0], h.shape[1], h.shape[1]):
             raise ValidationError("inconsistent measurement dimensions")
         r_chol = np.empty_like(r)

@@ -312,14 +312,16 @@ def _run_python(*args):
 
 
 def test_python_m_diffnet_runs_cli(tmp_path):
-    out_in, out_sub = tmp_path / "in_process", tmp_path / "subprocess"
+    out_in = tmp_path / "in_process"
     cfg_in = write_config(tmp_path, base_config(out_in), "in.json")
     assert cli.main(["analyze", "--config", cfg_in]) == 0
-    cfg_sub = write_config(tmp_path, base_config(out_sub), "sub.json")
-    proc = _run_python("-m", "diffnet", "analyze", "--config", cfg_sub)
-    assert proc.returncode == 0, proc.stderr
-    assert "Warning" not in proc.stderr
-    assert (out_sub / "theory.json").read_bytes() == (out_in / "theory.json").read_bytes()
+    for module in ("diffnet", "diffnet.cli"):
+        out_sub = tmp_path / module
+        cfg_sub = write_config(tmp_path, base_config(out_sub), f"{module}.json")
+        proc = _run_python("-m", module, "analyze", "--config", cfg_sub)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert (out_sub / "theory.json").read_bytes() == (out_in / "theory.json").read_bytes()
 
 
 def test_import_loads_no_scipy():

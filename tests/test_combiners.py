@@ -4,7 +4,6 @@ import pytest
 from diffnet import combiners, graph
 from diffnet.combiners import (
     adapt_weights_all,
-    adapt_weights_step,
     build_combination,
     init_variance_state,
     variance_product,
@@ -132,35 +131,34 @@ def test_variance_product_matches_single_node_increment():
     assert abs(acc / count - expected) / expected < 0.10
 
 
-def test_adapt_weights_step_recursion():
+def test_adapt_weights_recursion():
     t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
     state = init_variance_state(t, nu=0.5)
     psi = np.array([[np.sqrt(3.0), 0.0], [0.0, 0.0]])
-    w_prev = np.zeros(2)
-    state, weights, floored = adapt_weights_step(state, 1, psi, w_prev)
-    # nu=0.5, previous estimate 1, increment ||psi_0 - w||^2 = 3 -> 2
-    assert state.gamma2[0, 1] == pytest.approx(2.0)
+    state, entries, floored = adapt_weights_all(state, psi, np.zeros((2, 2)))
+    # nu=0.5, previous estimates 1, increments ||psi_l - w_1||^2 = 3 and 0
+    np.testing.assert_allclose(state.gamma2[:, 1], [2.0, 0.5])
     assert not floored
-    assert weights.sum() == pytest.approx(1.0)
+    # inverse-variance weights 1/2 and 1/0.5, normalized
+    np.testing.assert_allclose(entries[:, 1], [0.2, 0.8])
 
 
 def test_adapt_weights_equal_variances_symmetric():
     t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
     state = init_variance_state(t, nu=0.1)
-    psi = np.ones((2, 2))
-    state, weights, _ = adapt_weights_step(state, 0, psi, np.zeros(2))
-    np.testing.assert_allclose(weights, [0.5, 0.5])
+    state, entries, _ = adapt_weights_all(state, np.ones((2, 2)), np.zeros((2, 2)))
+    np.testing.assert_allclose(entries, 0.5)
 
 
 def test_adapt_weights_floor_signaled():
     t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
     state = init_variance_state(t, nu=0.9999)
     psi = np.zeros((2, 2))
-    # repeated zero increments drive the estimate to (nearly) zero
+    # repeated zero increments drive the estimates to (nearly) zero
     for _ in range(2000):
-        state, weights, floored = adapt_weights_step(state, 0, psi, np.zeros(2))
+        state, entries, floored = adapt_weights_all(state, psi, np.zeros((2, 2)))
     assert floored
-    assert weights.sum() == pytest.approx(1.0)
+    np.testing.assert_allclose(entries.sum(axis=0), 1.0)
 
 
 def test_adapt_weights_rows_sum_one_nonnegative():

@@ -17,7 +17,6 @@ from diffnet.diffusion import (
     SmoothingConfig,
     adaptive_step,
     atc_config,
-    consensus_average,
     consensus_error_curve,
     consensus_lms_config,
     consensus_lms_step,
@@ -31,7 +30,6 @@ from diffnet.diffusion import (
     run_steepest_descent,
     simulate_trial,
     smoothing_step,
-    steepest_descent_step,
     step_size_bounds,
 )
 from diffnet.errors import PreconditionError, ValidationError
@@ -50,14 +48,25 @@ def half_matrix(t):
     return CombinationMatrix(np.full((2, 2), 0.5), "doubly", supported_on=t)
 
 
+def _steepest_descent_reference(state, cfg, model):
+    """Per-node steepest-descent step: psi_k = phi_k + mu_k sum_l c_lk (r_du,l - R_u,l phi_k)."""
+    phi = cfg.a1.entries.T @ state.w
+    psi = np.empty_like(phi)
+    for k in range(cfg.n):
+        acc = np.zeros(model.m)
+        for l in range(cfg.n):
+            if cfg.c.entries[l, k] != 0.0:
+                acc += cfg.c.entries[l, k] * (model.rdu[l] - model.ru[l] @ phi[k])
+        psi[k] = phi[k] + cfg.mu[k] * acc
+    state.w = cfg.a2.entries.T @ psi
+    return state
+
+
 def test_steepest_descent_scalar_recursion():
     model = scalar_model()
     cfg = non_cooperative_config(1, 0.5)
-    state = init_state(cfg, 1)
-    state = steepest_descent_step(state, cfg, model)
-    assert state.w[0, 0] == pytest.approx(0.5)
-    state = steepest_descent_step(state, cfg, model)
-    assert state.w[0, 0] == pytest.approx(0.75)
+    assert run_steepest_descent(model, cfg, 1)[1].w[0, 0] == pytest.approx(0.5)
+    assert run_steepest_descent(model, cfg, 2)[1].w[0, 0] == pytest.approx(0.75)
 
 
 def test_steepest_descent_converges_under_bound():
@@ -76,10 +85,9 @@ def test_steepest_descent_identity_reduces_to_per_node():
     rng = np.random.default_rng(1)
     model = generate_model(rng, 3, 2)
     cfg = non_cooperative_config(3, 0.1)
-    state = init_state(cfg, 2)
+    _, state = run_steepest_descent(model, cfg, 20)
     w_manual = np.zeros((3, 2))
     for _ in range(20):
-        state = steepest_descent_step(state, cfg, model)
         for k in range(3):
             w_manual[k] = w_manual[k] + 0.1 * (model.rdu[k] - model.ru[k] @ w_manual[k])
     np.testing.assert_array_equal(state.w, w_manual)
@@ -221,19 +229,16 @@ def test_rate_enhancement_over_noncooperative():
         assert rho_diff <= rho_non + 1e-10
 
 
-def test_consensus_average_complete_graph():
+def test_consensus_complete_graph_reaches_average_in_one_step():
     a = CombinationMatrix(np.full((3, 3), 1.0 / 3.0), "doubly")
-    z = consensus_average(a, np.array([0.0, 3.0, 6.0]), 1)
-    np.testing.assert_allclose(z, [3.0, 3.0, 3.0], atol=1e-15)
+    assert consensus_error_curve(a, np.array([0.0, 3.0, 6.0]), 1)[0] < 1e-15
 
 
-def test_consensus_average_permutation_oscillates():
+def test_consensus_permutation_oscillates():
+    # swapping two values never moves them toward the average [1, 1]
     a = CombinationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "doubly")
-    z0 = np.array([0.0, 2.0])
-    assert np.array_equal(consensus_average(a, z0, 100), z0)
-    assert np.array_equal(consensus_average(a, z0, 101), z0[::-1])
-    errs = consensus_error_curve(a, z0, 50)
-    assert errs.min() > 0.5  # never approaches the average
+    errs = consensus_error_curve(a, np.array([0.0, 2.0]), 101)
+    np.testing.assert_array_equal(errs, np.sqrt(2.0))
 
 
 def test_consensus_rate_matches_second_eigenvalue():
@@ -251,11 +256,10 @@ def test_consensus_preserves_sum():
     rng = np.random.default_rng(8)
     t = graph.random_connected_topology(6, rng)
     a = combiners.build_combination(t, "metropolis")
-    z = rng.standard_normal((6, 2))
-    total = z.sum(axis=0)
-    for _ in range(50):
-        z = consensus_average(a, z, 1)
-        np.testing.assert_allclose(z.sum(axis=0), total, atol=1e-12)
+    # the curve measures the distance to the initial average, so it can only
+    # vanish if the iteration keeps the block sum
+    errs = consensus_error_curve(a, rng.standard_normal((6, 2)), 400)
+    assert errs[-1] < 1e-10 * errs[0]
 
 
 def _smoothing_cfg(t, a, order, f, q, mu):
@@ -362,9 +366,10 @@ def test_generic_cost_quadratic_equivalence_bitwise():
     s1, s2 = init_state(cfg, 2), init_state(cfg, 2)
     oracle = lambda l, w: model.ru[l] @ w - model.rdu[l]
     for _ in range(100):
-        s1 = steepest_descent_step(s1, cfg, model)
+        s1 = _steepest_descent_reference(s1, cfg, model)
         s2 = generic_cost_step(s2, cfg, oracle)
         assert np.array_equal(s1.w, s2.w)
+    assert np.array_equal(run_steepest_descent(model, cfg, 100)[1].w, s1.w)
 
 
 def test_generic_cost_quartic_converges_to_common_minimizer():
