@@ -5,41 +5,35 @@ Exit status: 0 on success, 2 on validation failure, 3 when an asserted
 ordering or equivalence check fails.  Given the same config and seed, every
 emitted file is byte-identical across runs.
 
-Config schema (``SCHEMA`` below).  A config is one JSON object of sections.
-A section that is not an object, a key that its section does not list and a
-variant outside ``diffusion.VARIANTS`` are validation errors.  Defaults are
-in brackets.
+Config schema (``SCHEMA`` below): one JSON object of sections.  A section
+that is not an object, a key its section does not list and a variant
+outside ``diffusion.VARIANTS`` are validation errors.  Defaults are in
+brackets; other keys are required, except that a section or a matrix may be
+left out.  The top level is shared: analyze ignores trials and iterations,
+consensus ignores model and trials, kalman ignores model.
 
-  top level         seed (required), trials [1], iterations [0], outputs
-                    ["out"], topology, model, strategy
-  topology          n, and edges [[]] (1-based node pairs) or random
-  random            seed [0], edge_prob [0.3]
-  model             generator, or wo, ru and sigma2_v
-  generator         seed, N, M, eigen_range [[0.5, 2]],
-                    noise_range [[0.001, 0.01]]
-  strategy          by subcommand:
-    simulate, analyze  the LMS strategy, whose keys depend on its variant:
-      atc, cta           variant [atc], mu [0.01], a, c, link_noise,
-                         smoothing, adaptive_weights
-      general            the same with a1 and a2 in place of a
-      consensus_lms      the same without c
-      non_cooperative    the same without a and c
-    compare            a, c, mu [0.01]
-    consensus          a [metropolis], block_size [1]; iterations [200]
-    rls                rls [{}]; iterations [500]
-    kalman             kalman; iterations [100]
-  rls               lambda [0.995], delta [100], a, c
-  kalman            f, g, h, q, r, pi0 (all required), a [metropolis],
-                    epsilon [0.1]
-  link_noise        seed [0], w_scale [0], psi_scale [0], d_scale [0]
-  smoothing         order, f (both required), q [1]
+  top level     seed, trials [1], iterations [0; consensus 200, rls 500,
+                kalman 100], outputs ["out"], topology, model, strategy
+  topology      n, and edges [[]] (1-based node pairs) or random
+  random        seed [0], edge_prob [0.3]
+  model         generator, or wo, ru and sigma2_v
+  generator     seed, N, M, eigen_range [[0.5, 2]], noise_range [[0.001, 0.01]]
+  strategy      simulate, analyze: variant [atc], mu [0.01], link_noise,
+                  smoothing, adaptive_weights, and by variant the matrices
+                  a, c (atc, cta); a1, a2, c (general); a (consensus_lms);
+                  none (non_cooperative)
+                compare: a, c, mu [0.01]
+                consensus: a [metropolis], block_size [1]
+                rls: rls;  kalman: kalman
+  rls           lambda [0.995], delta [100], a, c
+  kalman        f, g, h, q, r, pi0, a [metropolis], epsilon [0.1]
+  link_noise    seed [0], w_scale [0], psi_scale [0], d_scale [0]
+  smoothing     order, f, q [1]
   adaptive_weights  nu [0.05]
-  a, a1, a2, c      a matrix: a rule name such as "metropolis" or
-                    "identity"; or {"rule": name} plus the rule's parameter,
-                    gamma for laplacian, gamma2 for relative_variance or
-                    sigma2_v for relative_degree_variance [the model's];
-                    or {"entries", "kind" [left for a, right for c]}.
-                    An absent matrix is the identity.
+  a, a1, a2, c  a rule name ("metropolis", "identity", ...); or {"rule":
+                name} plus gamma (laplacian), gamma2 (relative_variance) or
+                sigma2_v (relative_degree_variance [the model's]); or
+                {"entries", "kind" [left for a, right for c]}; absent: I
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +73,8 @@ SCHEMA = {
     "model": {"wo", "ru", "sigma2_v"},
     "model.generator": {"generator"},
     "generator": {"seed", "N", "M", "eigen_range", "noise_range"},
-    **{
-        f"strategy.{variant}": {"variant", "mu", "link_noise", "smoothing", "adaptive_weights"}
-        | set(keys) - {None}
-        for variant, keys in LMS_MATRICES.items()
-    },
+    **{f"strategy.{variant}": {"variant", "mu", "link_noise", "smoothing", "adaptive_weights", *keys} - {None}
+       for variant, keys in LMS_MATRICES.items()},
     "strategy.compare": {"a", "c", "mu"},
     "strategy.consensus": {"a", "block_size"},
     "strategy.rls": {"rls"},
@@ -105,17 +96,11 @@ _REQUIRED = object()
 
 def to_db(x) -> float:
     x = float(x)
-    if math.isnan(x):
-        return float("nan")
-    if x <= 0:
-        return float("-inf")
-    return 10.0 * math.log10(x)
+    return x if math.isnan(x) else float("-inf") if x <= 0 else 10.0 * math.log10(x)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _array(raw) -> np.ndarray:
@@ -126,10 +111,7 @@ def _array(raw) -> np.ndarray:
 
 
 def _number(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
+    return float(_array(float(raw)))  # float() rejects lists, _array non-finite values
 
 
 _KINDS = {int: "an integer", _number: "a finite number", _array: "a finite number or a list of them"}
@@ -149,8 +131,9 @@ def _section(value, where: str, schema: str) -> dict:
     return value
 
 
-def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=None):
-    """``section[key]`` converted by ``kind`` (int, _number or _array)."""
+def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=None, shapes=None):
+    """``section[key]`` converted by ``kind`` (int, _number or _array), with
+    a lower bound or, for arrays, a list of allowed shapes."""
     if key not in section:
         if default is _REQUIRED:
             raise ValidationError(f"{where}: missing key {key!r}")
@@ -162,6 +145,9 @@ def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=N
         raise ValidationError(f"{where}.{key} must be {_KINDS[kind]}, got {json.dumps(raw)}") from None
     if minimum is not None and value < minimum:
         raise ValidationError(f"{where}.{key} must be >= {minimum}, got {value}")
+    if shapes is not None and value.shape not in shapes:
+        allowed = " or ".join(map(str, shapes))
+        raise ValidationError(f"{where}.{key} must have shape {allowed}, got {value.shape}")
     return value
 
 
@@ -183,10 +169,9 @@ class ExperimentConfig:
     def load(cls, path, overrides=None) -> "ExperimentConfig":
         with open(path) as fh:
             doc = _section(json.load(fh), "config", "config")
-        overrides = overrides or {}
-        for key in ("seed", "trials", "out"):
-            if overrides.get(key) is not None:
-                doc[{"out": "outputs"}.get(key, key)] = overrides[key]
+        for key, field in (("seed", "seed"), ("trials", "trials"), ("out", "outputs")):
+            if (overrides or {}).get(key) is not None:
+                doc[field] = overrides[key]
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
         outputs = doc.get("outputs", "out")
@@ -209,20 +194,15 @@ def build_topology_spec(spec: dict) -> Topology:
         params = _section(spec["random"], "topology.random", "random")
         rng = np.random.default_rng(_get(params, "topology.random", "seed", int, 0, minimum=0))
         n = _get(spec, "topology", "n", int, minimum=1)
-        return random_connected_topology(n, rng, _get(params, "topology.random", "edge_prob", _number, 0.3))
+        edge_prob = _get(params, "topology.random", "edge_prob", _number, 0.3)
+        return random_connected_topology(n, rng, edge_prob)
     _section(spec, "topology", "topology")
     edges = _get(spec, "topology", "edges", _array, [])
     edges = edges if np.size(edges) else np.empty((0, 2))
     if edges.ndim != 2 or edges.shape[1] != 2 or np.any(edges != np.round(edges)):
-        raise ValidationError(f"topology.edges must be a list of [a, b] node pairs, got {json.dumps(spec['edges'])}")
-    return topology_from_dict({"n": _get(spec, "topology", "n", int, minimum=1), "edges": edges.astype(int).tolist()})
-
-
-def _pair(section: dict, where: str, key: str, default) -> tuple:
-    value = _get(section, where, key, _array, np.asarray(default))
-    if value.shape != (2,):
-        raise ValidationError(f"{where}.{key} must be a [low, high] pair, got {json.dumps(section[key])}")
-    return tuple(value.tolist())
+        raise ValidationError(f"topology.edges must be [a, b] node pairs, got {json.dumps(spec['edges'])}")
+    n = _get(spec, "topology", "n", int, minimum=1)
+    return topology_from_dict({"n": n, "edges": edges.astype(int).tolist()})
 
 
 def build_model_spec(spec: dict, n: int) -> EnsembleModel:
@@ -233,8 +213,8 @@ def build_model_spec(spec: dict, n: int) -> EnsembleModel:
             np.random.default_rng(_get(gen, where, "seed", int, minimum=0)),
             _get(gen, where, "N", int, minimum=1),
             _get(gen, where, "M", int, minimum=1),
-            _pair(gen, where, "eigen_range", (0.5, 2.0)),
-            _pair(gen, where, "noise_range", (0.001, 0.01)),
+            *(tuple(_get(gen, where, key, _array, np.asarray(default), shapes=[(2,)]).tolist())
+              for key, default in (("eigen_range", (0.5, 2.0)), ("noise_range", (0.001, 0.01)))),
         )
     else:
         _section(spec, "model", "model")
@@ -273,15 +253,8 @@ def _matrix_from_spec(spec, t: Topology, model, role: str, where: str = "") -> C
     return cm
 
 
-def _strategy(strategy, command: str) -> dict:
-    return _section(strategy, "strategy", f"strategy.{command}")
-
-
 def _mu(section: dict, where: str, n: int) -> np.ndarray:
-    mu = _get(section, where, "mu", _array, np.asarray(0.01))
-    if mu.shape not in ((), (1,), (n,)):
-        raise ValidationError(f"{where}.mu must be one step size or {n} of them, got {json.dumps(section['mu'])}")
-    return mu
+    return _get(section, where, "mu", _array, np.asarray(0.01), shapes=[(), (1,), (n,)])
 
 
 def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionConfig:
@@ -290,22 +263,18 @@ def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionCon
         raise ValidationError(
             f"strategy.variant must be one of {', '.join(diffusion.VARIANTS)}, got {json.dumps(variant)}"
         )
-    _strategy(strategy, variant)
+    _section(strategy, "strategy", f"strategy.{variant}")
     kw = {}
     if "adaptive_weights" in strategy:
-        aw = _section(strategy["adaptive_weights"], "strategy.adaptive_weights", "adaptive_weights")
-        kw["adaptive_weights"] = diffusion.AdaptiveWeightConfig(
-            nu=_get(aw, "strategy.adaptive_weights", "nu", _number, 0.05)
-        )
+        where = "strategy.adaptive_weights"
+        aw = _section(strategy["adaptive_weights"], where, "adaptive_weights")
+        kw["adaptive_weights"] = diffusion.AdaptiveWeightConfig(nu=_get(aw, where, "nu", _number, 0.05))
     if "link_noise" in strategy:
         where = "strategy.link_noise"
         ln = _section(strategy["link_noise"], where, "link_noise")
-        kw["link_noise"] = random_link_noise(
-            t,
-            model.m,
-            np.random.default_rng(_get(ln, where, "seed", int, 0, minimum=0)),
-            **{key: _get(ln, where, key, _number, 0.0) for key in ("w_scale", "psi_scale", "d_scale")},
-        )
+        rng = np.random.default_rng(_get(ln, where, "seed", int, 0, minimum=0))
+        scales = {key: _get(ln, where, key, _number, 0.0) for key in ("w_scale", "psi_scale", "d_scale")}
+        kw["link_noise"] = random_link_noise(t, model.m, rng, **scales)
     if "smoothing" in strategy:
         where = "strategy.smoothing"
         sm = _section(strategy["smoothing"], where, "smoothing")
@@ -327,6 +296,12 @@ def _write_csv(path: Path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _write_db_curves(path: Path, steps: int, curves: dict):
+    """CSV of the step index and each named curve's first ``steps`` values in dB."""
+    rows = ((i, *(to_db(c[i]) for c in curves.values())) for i in range(steps))
+    _write_csv(path, ["i", *curves], rows)
 
 
 def _jsonable(x):
@@ -366,14 +341,8 @@ def _theory(model, cfg):
 
 def _inputs(t: Topology, model, cfg) -> dict:
     """Everything the theory numbers are computed from."""
-    return {
-        "topology": topology_to_dict(t),
-        "model": model_to_dict(model),
-        "a1": cfg.a1.entries,
-        "a2": cfg.a2.entries,
-        "c": cfg.c.entries,
-        "mu": cfg.mu,
-    }
+    return {"topology": topology_to_dict(t), "model": model_to_dict(model),
+            "a1": cfg.a1.entries, "a2": cfg.a2.entries, "c": cfg.c.entries, "mu": cfg.mu}
 
 
 def _lms_setup(config: ExperimentConfig):
@@ -383,85 +352,44 @@ def _lms_setup(config: ExperimentConfig):
     return t, model, build_strategy(config.strategy, t, model)
 
 
+def _with_db(*values) -> list:
+    return [v for x in values for v in (float(x), to_db(x))]
+
+
 def run(config: ExperimentConfig) -> dict:
     """Theory + Monte Carlo pipeline; returns the summary dict."""
     outdir = Path(config.outputs)
     t, model, cfg = _lms_setup(config)
-
     moments, constructs, report, stability = _theory(model, cfg)
+    steps = config.iterations
+    mc = diffusion.run_trials(model, cfg, steps, config.trials, config.seed, topology=t)
 
-    mc = diffusion.run_trials(
-        model, cfg, config.iterations, config.trials, config.seed, topology=t
-    )
-
-    if report.stable_ms and config.iterations > 0:
-        zeta, msd_theory_curve = analysis.learning_curve_theory(
-            constructs, moments, None, config.iterations
-        )
+    if report.stable_ms and steps > 0:
+        emse_theory, msd_theory = analysis.learning_curve_theory(constructs, moments, None, steps)
     else:
-        zeta = np.full(config.iterations + 1, float("nan"))
-        msd_theory_curve = zeta
+        emse_theory = msd_theory = np.full(steps + 1, float("nan"))
+    _write_db_curves(outdir / "learning_curve.csv", steps, {
+        "emse_sim_db": mc.emse_curve, "emse_theory_db": emse_theory,
+        "msd_sim_db": mc.msd_curve, "msd_theory_db": msd_theory,
+    })
+
+    msd_ss = diffusion.steady_state(mc.msd_node_curve) if steps else np.full(t.n, float("nan"))
+    emse_ss = diffusion.steady_state(mc.emse_node_curve) if steps else np.full(t.n, float("nan"))
     rows = [
-        (
-            i,
-            _fmt(to_db(mc.emse_curve[i])),
-            _fmt(to_db(zeta[i])),
-            _fmt(to_db(mc.msd_curve[i])),
-            _fmt(to_db(msd_theory_curve[i])),
-        )
-        for i in range(config.iterations)
+        (k + 1, *_with_db(msd_ss[k], report.msd_node[k], emse_ss[k], report.emse_node[k]))
+        for k in range(t.n)
     ]
-    _write_csv(
-        outdir / "learning_curve.csv",
-        ["i", "emse_sim_db", "emse_theory_db", "msd_sim_db", "msd_theory_db"],
-        rows,
-    )
-
-    msd_ss = diffusion.steady_state(mc.msd_node_curve) if config.iterations else np.full(t.n, float("nan"))
-    emse_ss = diffusion.steady_state(mc.emse_node_curve) if config.iterations else np.full(t.n, float("nan"))
-    rows = []
-    for k in range(t.n):
-        rows.append(
-            (
-                k + 1,
-                _fmt(float(msd_ss[k])),
-                _fmt(to_db(msd_ss[k])),
-                _fmt(float(report.msd_node[k])),
-                _fmt(to_db(report.msd_node[k])),
-                _fmt(float(emse_ss[k])),
-                _fmt(to_db(emse_ss[k])),
-                _fmt(float(report.emse_node[k])),
-                _fmt(to_db(report.emse_node[k])),
-            )
-        )
     rows.append(
-        (
-            "network",
-            _fmt(float(msd_ss.mean())),
-            _fmt(to_db(msd_ss.mean())),
-            _fmt(report.msd_network),
-            _fmt(to_db(report.msd_network)),
-            _fmt(float(emse_ss.mean())),
-            _fmt(to_db(emse_ss.mean())),
-            _fmt(report.emse_network),
-            _fmt(to_db(report.emse_network)),
-        )
+        ("network", *_with_db(msd_ss.mean(), report.msd_network, emse_ss.mean(), report.emse_network))
     )
-    _write_csv(
-        outdir / "steady_state.csv",
-        [
-            "node",
-            "msd_sim", "msd_sim_db", "msd_theory", "msd_theory_db",
-            "emse_sim", "emse_sim_db", "emse_theory", "emse_theory_db",
-        ],
-        rows,
-    )
+    header = ["node", "msd_sim", "msd_sim_db", "msd_theory", "msd_theory_db",
+              "emse_sim", "emse_sim_db", "emse_theory", "emse_theory_db"]
+    _write_csv(outdir / "steady_state.csv", header, rows)
 
-    gap_db = to_db(float(msd_ss.mean())) - to_db(report.msd_network)
     summary = {
         "seed": config.seed,
         "trials": config.trials,
-        "iterations": config.iterations,
+        "iterations": steps,
         "stable_mean": report.stable_mean,
         "stable_ms": report.stable_ms,
         "rho_b": report.rho_b,
@@ -472,7 +400,7 @@ def run(config: ExperimentConfig) -> dict:
         "emse_theory": report.emse_network,
         "msd_sim": float(msd_ss.mean()),
         "emse_sim": float(emse_ss.mean()),
-        "msd_gap_db": gap_db,
+        "msd_gap_db": to_db(float(msd_ss.mean())) - to_db(report.msd_network),
         "inputs": _inputs(t, model, cfg),
     }
     _write_summary(outdir / "summary.json", summary)
@@ -505,7 +433,7 @@ def cmd_analyze(config: ExperimentConfig) -> int:
 def cmd_compare(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
     model = build_model_spec(config.model, t.n)
-    strategy = _strategy(config.strategy, "compare")
+    strategy = _section(config.strategy, "strategy", "strategy.compare")
     a = _matrix_from_spec(strategy.get("a"), t, model, "a", "strategy.a")
     c = _matrix_from_spec(strategy.get("c"), t, model, "c", "strategy.c")
     mu = _mu(strategy, "strategy", t.n)
@@ -521,18 +449,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
             mc = diffusion.run_trials(model, cfg, config.iterations, config.trials, config.seed)
             sims[name] = float(diffusion.steady_state(mc.msd_curve))
 
-    rows = [
-        {
-            "name": r.name,
-            "applicable": r.applicable,
-            "reason": r.reason,
-            "holds": r.holds,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-        }
-        for r in report.rows
-    ]
-    summary = {"msd_theory": report.msd, "msd_sim": sims, "rows": rows}
+    summary = {"msd_theory": report.msd, "msd_sim": sims, "rows": [asdict(r) for r in report.rows]}
     _write_summary(Path(config.outputs) / "comparison.json", summary)
     violated = [r.name for r in report.rows if r.applicable and not r.holds]
     if violated:
@@ -543,38 +460,28 @@ def cmd_compare(config: ExperimentConfig) -> int:
 
 def cmd_consensus(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
-    strategy = _strategy(config.strategy, "consensus")
+    strategy = _section(config.strategy, "strategy", "strategy.consensus")
     a = _matrix_from_spec(strategy.get("a", "metropolis"), t, None, "a", "strategy.a")
     if DOUBLY != a.kind:
         raise ValidationError("consensus averaging needs a doubly stochastic matrix")
     rng = np.random.default_rng(config.seed)
     m = _get(strategy, "strategy", "block_size", int, 1, minimum=1)
-    z0 = rng.standard_normal((t.n, m))
-    iters = config.iterations or 200
-    errors = diffusion.consensus_error_curve(a, z0, iters)
+    errors = diffusion.consensus_error_curve(a, rng.standard_normal((t.n, m)), config.iterations or 200)
     lam2 = second_eigenvalue_magnitude(a)
-    converged = bool(errors[-1] < 1e-8)
     try:
         rate = diffusion.fit_geometric_rate(errors)
         rate_rel_err = abs(rate - lam2) / lam2 if lam2 > 0 else float("nan")
     except DiffnetError:
         rate, rate_rel_err = float("nan"), float("nan")
     outdir = Path(config.outputs)
-    _write_csv(
-        outdir / "consensus.csv",
-        ["n", "error"],
-        [(i, _fmt(float(e))) for i, e in enumerate(errors, start=1)],
-    )
-    _write_summary(
-        outdir / "consensus.json",
-        {
-            "lambda2": lam2,
-            "fitted_rate": rate,
-            "rate_rel_err": rate_rel_err,
-            "converged": converged,
-            "final_error": float(errors[-1]),
-        },
-    )
+    _write_csv(outdir / "consensus.csv", ["n", "error"], ((i, float(e)) for i, e in enumerate(errors, 1)))
+    _write_summary(outdir / "consensus.json", {
+        "lambda2": lam2,
+        "fitted_rate": rate,
+        "rate_rel_err": rate_rel_err,
+        "converged": bool(errors[-1] < 1e-8),
+        "final_error": float(errors[-1]),
+    })
     return 0
 
 
@@ -582,14 +489,14 @@ def cmd_rls(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
     model = build_model_spec(config.model, t.n)
     where = "strategy.rls"
-    section = _section(_strategy(config.strategy, "rls").get("rls", {}), where, "rls")
+    section = _section(_section(config.strategy, "strategy", where).get("rls", {}), where, "rls")
     lam = _get(section, where, "lambda", _number, rls.LAMBDA_DEFAULT)
     delta = _get(section, where, "delta", _number, rls.DELTA_DEFAULT)
     a = _matrix_from_spec(section.get("a"), t, model, "a", f"{where}.a")
     c = _matrix_from_spec(section.get("c"), t, model, "c", f"{where}.c")
     iters = config.iterations or 500
 
-    curves = {"drls": np.zeros(iters), "crls": np.zeros(iters)}
+    drls, crls = np.zeros(iters), np.zeros(iters)
     for rng in diffusion.trial_rngs(config.seed, config.trials):
         d_states = rls.init_states(t.n, model.m, lam, delta)
         c_states = rls.init_crls_states(t.n, model.m, delta)
@@ -597,38 +504,27 @@ def cmd_rls(config: ExperimentConfig) -> int:
             snap = sample_snapshot(model, rng)
             d_states = rls.drls_step(d_states, a, c, snap)
             c_states = rls.crls_step(c_states, c, snap)
-            curves["drls"][i] += ((d_states.w - model.wo) ** 2).sum() / t.n
-            curves["crls"][i] += ((c_states.psi - model.wo) ** 2).sum() / t.n
-    for key in curves:
-        curves[key] /= config.trials
+            drls[i] += ((d_states.w - model.wo) ** 2).sum() / t.n
+            crls[i] += ((c_states.psi - model.wo) ** 2).sum() / t.n
+    curves = {"drls": drls / config.trials, "crls": crls / config.trials}
 
     outdir = Path(config.outputs)
-    _write_csv(
-        outdir / "rls_curve.csv",
-        ["i", "drls_msd_db", "crls_msd_db"],
-        [
-            (i, _fmt(to_db(curves["drls"][i])), _fmt(to_db(curves["crls"][i])))
-            for i in range(iters)
-        ],
-    )
-    _write_summary(
-        outdir / "rls.json",
-        {
-            "drls_msd_final": float(diffusion.steady_state(curves["drls"])),
-            "crls_msd_final": float(diffusion.steady_state(curves["crls"])),
-            "drls_comm_scalars": rls.drls_comm_scalars(t, model.m),
-            "crls_comm_scalars": rls.crls_comm_scalars(t, model.m),
-            "lambda": lam,
-            "delta": delta,
-        },
-    )
+    _write_db_curves(outdir / "rls_curve.csv", iters, {f"{k}_msd_db": v for k, v in curves.items()})
+    _write_summary(outdir / "rls.json", {
+        "drls_msd_final": float(diffusion.steady_state(curves["drls"])),
+        "crls_msd_final": float(diffusion.steady_state(curves["crls"])),
+        "drls_comm_scalars": rls.drls_comm_scalars(t, model.m),
+        "crls_comm_scalars": rls.crls_comm_scalars(t, model.m),
+        "lambda": lam,
+        "delta": delta,
+    })
     return 0
 
 
 def cmd_kalman(config: ExperimentConfig) -> int:
     t = build_topology_spec(config.topology)
     where = "strategy.kalman"
-    section = _section(_strategy(config.strategy, "kalman").get("kalman", {}), where, "kalman")
+    section = _section(_section(config.strategy, "strategy", where).get("kalman", {}), where, "kalman")
     model = kalman.StateSpaceModel(
         **{key: _get(section, where, key, _array) for key in ("f", "g", "h", "q", "r", "pi0")}
     )
@@ -639,7 +535,7 @@ def cmd_kalman(config: ExperimentConfig) -> int:
     eps_weights = kalman.ckf_weights(t, epsilon)
     iters = config.iterations or 100
 
-    msd = {"diffusion": np.zeros(iters), "consensus": np.zeros(iters), "central": np.zeros(iters)}
+    msd = np.zeros((3, iters))  # diffusion, consensus, central
     for rng in diffusion.trial_rngs(config.seed, config.trials):
         xs, ys = kalman.simulate_state_trajectory(model, iters, rng)
         d_states = kalman.init_kf_states(model)
@@ -649,46 +545,22 @@ def cmd_kalman(config: ExperimentConfig) -> int:
             d_states = kalman.dkf_tm_step(d_states, t, a, model, ys[i])
             c_states = kalman.ckf_step(c_states, t, model, ys[i], eps_weights)
             central = kalman.centralized_kf_step(central, model, ys[i])
-            msd["diffusion"][i] += ((d_states.x_filt - xs[i]) ** 2).sum() / t.n
-            msd["consensus"][i] += ((c_states.x_filt - xs[i]) ** 2).sum() / t.n
-            msd["central"][i] += ((central.x_filt - xs[i]) ** 2).sum()
-    for key in msd:
-        msd[key] /= config.trials
+            msd[:, i] += (((d_states.x_filt - xs[i]) ** 2).sum() / t.n,
+                          ((c_states.x_filt - xs[i]) ** 2).sum() / t.n,
+                          ((central.x_filt - xs[i]) ** 2).sum())
+    msd = dict(zip(("diffusion", "consensus", "central"), msd / config.trials))
 
     outdir = Path(config.outputs)
-    _write_csv(
-        outdir / "kalman_curve.csv",
-        ["i", "diffusion_msd_db", "consensus_msd_db", "central_msd_db"],
-        [
-            (
-                i,
-                _fmt(to_db(msd["diffusion"][i])),
-                _fmt(to_db(msd["consensus"][i])),
-                _fmt(to_db(msd["central"][i])),
-            )
-            for i in range(iters)
-        ],
-    )
-    _write_summary(
-        outdir / "kalman.json",
-        {
-            "diffusion_msd_final": float(diffusion.steady_state(msd["diffusion"])),
-            "consensus_msd_final": float(diffusion.steady_state(msd["consensus"])),
-            "central_msd_final": float(diffusion.steady_state(msd["central"])),
-            "epsilon": epsilon,
-        },
-    )
+    _write_db_curves(outdir / "kalman_curve.csv", iters, {f"{k}_msd_db": v for k, v in msd.items()})
+    _write_summary(outdir / "kalman.json", {
+        **{f"{k}_msd_final": float(diffusion.steady_state(v)) for k, v in msd.items()},
+        "epsilon": epsilon,
+    })
     return 0
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "compare": cmd_compare,
-    "consensus": cmd_consensus,
-    "rls": cmd_rls,
-    "kalman": cmd_kalman,
-}
+COMMANDS = {"simulate": cmd_simulate, "analyze": cmd_analyze, "compare": cmd_compare,
+            "consensus": cmd_consensus, "rls": cmd_rls, "kalman": cmd_kalman}
 
 
 def main(argv=None) -> int:
@@ -706,10 +578,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(ExperimentConfig.load(args.config, vars(args)))
-    except DiffnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DiffnetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
