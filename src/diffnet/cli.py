@@ -96,11 +96,17 @@ _REQUIRED = object()
 
 def to_db(x) -> float:
     x = float(x)
-    return x if math.isnan(x) else float("-inf") if x <= 0 else 10.0 * math.log10(x)
+    if math.isnan(x):
+        return float("nan")
+    if x <= 0:
+        return float("-inf")
+    return 10.0 * math.log10(x)
 
 
 def _fmt(x) -> str:
-    return format(x, ".12g") if isinstance(x, float) else str(x)
+    if isinstance(x, float):
+        return format(x, ".12g")
+    return str(x)
 
 
 def _array(raw) -> np.ndarray:
@@ -151,10 +157,6 @@ def _get(section: dict, where: str, key: str, kind, default=_REQUIRED, minimum=N
     return value
 
 
-def _form(value, key: str) -> bool:
-    return isinstance(value, dict) and key in value
-
-
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -189,7 +191,7 @@ class ExperimentConfig:
 
 
 def build_topology_spec(spec: dict) -> Topology:
-    if _form(spec, "random"):
+    if isinstance(spec, dict) and "random" in spec:
         _section(spec, "topology", "topology.random")
         params = _section(spec["random"], "topology.random", "random")
         rng = np.random.default_rng(_get(params, "topology.random", "seed", int, 0, minimum=0))
@@ -197,16 +199,15 @@ def build_topology_spec(spec: dict) -> Topology:
         edge_prob = _get(params, "topology.random", "edge_prob", _number, 0.3)
         return random_connected_topology(n, rng, edge_prob)
     _section(spec, "topology", "topology")
-    edges = _get(spec, "topology", "edges", _array, [])
-    edges = edges if np.size(edges) else np.empty((0, 2))
-    if edges.ndim != 2 or edges.shape[1] != 2 or np.any(edges != np.round(edges)):
+    edges = _get(spec, "topology", "edges", _array, np.empty((0, 2)))
+    if edges.shape != (0,) and (edges.ndim != 2 or edges.shape[1] != 2 or np.any(edges != np.round(edges))):
         raise ValidationError(f"topology.edges must be [a, b] node pairs, got {json.dumps(spec['edges'])}")
     n = _get(spec, "topology", "n", int, minimum=1)
     return topology_from_dict({"n": n, "edges": edges.astype(int).tolist()})
 
 
 def build_model_spec(spec: dict, n: int) -> EnsembleModel:
-    if _form(spec, "generator"):
+    if isinstance(spec, dict) and "generator" in spec:
         _section(spec, "model", "model.generator")
         gen, where = _section(spec["generator"], "model.generator", "generator"), "model.generator"
         model = generate_model(
@@ -230,7 +231,7 @@ def _matrix_from_spec(spec, t: Topology, model, role: str, where: str = "") -> C
     where = where or role
     if spec is None:
         return identity_combination(t.n, t)
-    if _form(spec, "entries"):
+    if isinstance(spec, dict) and "entries" in spec:
         _section(spec, where, "matrix")
         kind = spec.get("kind", LEFT if role == "a" else RIGHT)
         return CombinationMatrix(_get(spec, where, "entries", _array), kind, supported_on=t)
@@ -356,8 +357,8 @@ def _with_db(*values) -> list:
     return [v for x in values for v in (float(x), to_db(x))]
 
 
-def run(config: ExperimentConfig) -> dict:
-    """Theory + Monte Carlo pipeline; returns the summary dict."""
+def cmd_simulate(config: ExperimentConfig) -> int:
+    """Theory + Monte Carlo pipeline."""
     outdir = Path(config.outputs)
     t, model, cfg = _lms_setup(config)
     moments, constructs, report, stability = _theory(model, cfg)
@@ -404,11 +405,6 @@ def run(config: ExperimentConfig) -> dict:
         "inputs": _inputs(t, model, cfg),
     }
     _write_summary(outdir / "summary.json", summary)
-    return summary
-
-
-def cmd_simulate(config: ExperimentConfig) -> int:
-    run(config)
     return 0
 
 
@@ -559,16 +555,20 @@ def cmd_kalman(config: ExperimentConfig) -> int:
     return 0
 
 
-COMMANDS = {"simulate": cmd_simulate, "analyze": cmd_analyze, "compare": cmd_compare,
-            "consensus": cmd_consensus, "rls": cmd_rls, "kalman": cmd_kalman}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="diffnet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in COMMANDS.items():
+    commands = {
+        "simulate": cmd_simulate,
+        "analyze": cmd_analyze,
+        "compare": cmd_compare,
+        "consensus": cmd_consensus,
+        "rls": cmd_rls,
+        "kalman": cmd_kalman,
+    }
+    for name, func in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)

@@ -131,7 +131,7 @@ def test_variance_product_matches_single_node_increment():
     assert abs(acc / count - expected) / expected < 0.10
 
 
-def test_adapt_weights_recursion():
+def test_adapt_weights_step_recursion():
     t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
     state = init_variance_state(t, nu=0.5)
     psi = np.array([[np.sqrt(3.0), 0.0], [0.0, 0.0]])

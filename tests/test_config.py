@@ -74,6 +74,7 @@ PROBES = [
     ("simulate", ("strategy", "variant"), "atcx", "variant"),
     ("simulate", ("strategy", "muu"), 0.02, "'muu'"),
     ("simulate", ("iteration",), 20, "'iteration'"),
+    ("simulate", ("emit",), ["learning_curve", "steady_state"], "'emit'"),
     ("simulate", ("strategy",), [1], "strategy"),
     ("simulate", ("topology",), [1, 2], "topology"),
     ("rls", ("strategy", "rls", "lamda"), 0.99, "'lamda'"),
@@ -84,6 +85,14 @@ PROBES = [
     ("simulate", ("strategy", "variant"), "consensus_lms", "'c'"),
     ("analyze", ("model", "generator", "M"), "two", "model.generator.M"),
     ("compare", ("strategy", "mu"), {"value": 0.1}, "strategy.mu"),
+    # these raised a traceback before the parser
+    ("compare", ("strategy", "mu"), [], "strategy.mu"),
+    ("simulate", ("topology", "edges"), [[], []], "topology.edges"),
+    ("simulate", ("topology", "edges"), [[1, None]], "topology.edges"),
+    ("analyze", ("model", "generator", "eigen_range"), [2.0, 0.5], "eigen_range"),
+    ("kalman", ("strategy", "kalman", "q"), [[[0.01]]], "q must be"),
+    ("kalman", ("strategy", "kalman", "f"), 0.99, "state dimensions"),
+    ("consensus", ("strategy", "a"), "relative_degree_variance", "sigma2_v"),
 ]
 
 

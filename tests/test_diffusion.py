@@ -229,12 +229,12 @@ def test_rate_enhancement_over_noncooperative():
         assert rho_diff <= rho_non + 1e-10
 
 
-def test_consensus_complete_graph_reaches_average_in_one_step():
+def test_consensus_average_complete_graph():
     a = CombinationMatrix(np.full((3, 3), 1.0 / 3.0), "doubly")
     assert consensus_error_curve(a, np.array([0.0, 3.0, 6.0]), 1)[0] < 1e-15
 
 
-def test_consensus_permutation_oscillates():
+def test_consensus_average_permutation_oscillates():
     # swapping two values never moves them toward the average [1, 1]
     a = CombinationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "doubly")
     errs = consensus_error_curve(a, np.array([0.0, 2.0]), 101)
