@@ -171,9 +171,10 @@ class ExperimentConfig:
     def load(cls, path, overrides=None) -> "ExperimentConfig":
         with open(path) as fh:
             doc = _section(json.load(fh), "config", "config")
-        for key, field in (("seed", "seed"), ("trials", "trials"), ("out", "outputs")):
-            if (overrides or {}).get(key) is not None:
-                doc[field] = overrides[key]
+        overrides = overrides or {}
+        for key in ("seed", "trials", "out"):
+            if overrides.get(key) is not None:
+                doc[{"out": "outputs"}.get(key, key)] = overrides[key]
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
         outputs = doc.get("outputs", "out")
@@ -209,7 +210,8 @@ def build_topology_spec(spec: dict) -> Topology:
 def build_model_spec(spec: dict, n: int) -> EnsembleModel:
     if isinstance(spec, dict) and "generator" in spec:
         _section(spec, "model", "model.generator")
-        gen, where = _section(spec["generator"], "model.generator", "generator"), "model.generator"
+        where = "model.generator"
+        gen = _section(spec["generator"], where, "generator")
         model = generate_model(
             np.random.default_rng(_get(gen, where, "seed", int, minimum=0)),
             _get(gen, where, "N", int, minimum=1),
