@@ -87,6 +87,7 @@ PROBES = [
     ("compare", ("strategy", "mu"), {"value": 0.1}, "strategy.mu"),
     # these raised a traceback before the parser
     ("compare", ("strategy", "mu"), [], "strategy.mu"),
+    ("simulate", ("strategy", "mu"), [None], "strategy.mu"),
     ("simulate", ("topology", "edges"), [[], []], "topology.edges"),
     ("simulate", ("topology", "edges"), [[1, None]], "topology.edges"),
     ("analyze", ("model", "generator", "eigen_range"), [2.0, 0.5], "eigen_range"),
