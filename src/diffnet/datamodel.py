@@ -264,26 +264,3 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "ru": model.ru.tolist(),
         "sigma2_v": model.sigma2_v.tolist(),
     }
-
-
-def model_from_dict(doc: dict) -> EnsembleModel:
-    """Load a model from explicit matrices or from a generator spec.
-
-    Generator form: ``{"generator": {"seed", "N", "M", "eigen_range",
-    "noise_range"}}``.
-    """
-    if "generator" in doc:
-        spec = doc["generator"]
-        rng = np.random.default_rng(int(spec["seed"]))
-        return generate_model(
-            rng,
-            int(spec["N"]),
-            int(spec["M"]),
-            tuple(spec.get("eigen_range", (0.5, 2.0))),
-            tuple(spec.get("noise_range", (0.001, 0.01))),
-        )
-    return EnsembleModel(
-        wo=np.asarray(doc["wo"], dtype=float),
-        ru=np.asarray(doc["ru"], dtype=float),
-        sigma2_v=np.asarray(doc["sigma2_v"], dtype=float),
-    )

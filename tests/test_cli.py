@@ -56,12 +56,11 @@ def test_theory_numbers_reproducible_from_logged_inputs(tmp_path):
     cli.main(["simulate", "--config", cfg])
     summary = json.loads((out / "summary.json").read_text())
     from diffnet import analysis, diffusion
-    from diffnet.datamodel import model_from_dict
     from diffnet.graph import topology_from_dict
     from diffnet.stochmat import CombinationMatrix, identity_combination
 
     t = topology_from_dict(summary["inputs"]["topology"])
-    model = model_from_dict(summary["inputs"]["model"])
+    model = cli.build_model_spec(summary["inputs"]["model"], t.n)
     a2 = CombinationMatrix(np.asarray(summary["inputs"]["a2"]), "left", supported_on=t)
     cfg_obj = diffusion.atc_config(a2, identity_combination(t.n, t), np.asarray(summary["inputs"]["mu"]))
     moments = analysis.build_moments(model, cfg_obj)
