@@ -61,7 +61,6 @@ LMS_MATRICES = {
     diffusion.CONSENSUS_LMS: (None, "a", None),
     diffusion.NON_COOPERATIVE: (None, None, None),
 }
-MATRIX_RULES = (*combiners.RULES, "identity")
 
 # section -> the keys the code reads from it; a section with two forms has
 # one entry per form
@@ -85,7 +84,7 @@ SCHEMA = {
     "smoothing": {"order", "f", "q"},
     "adaptive_weights": {"nu"},
     "matrix": {"entries", "kind"},
-    **{f"matrix.{rule}": {"rule"} for rule in MATRIX_RULES},
+    **{f"matrix.{rule}": {"rule"} for rule in combiners.RULES},
     "matrix.laplacian": {"rule", "gamma"},
     "matrix.relative_variance": {"rule", "gamma2"},
     "matrix.relative_degree_variance": {"rule", "sigma2_v"},
@@ -240,13 +239,11 @@ def _matrix_from_spec(spec, t: Topology, model, role: str, where: str = "") -> C
     if isinstance(spec, str):
         spec = {"rule": spec}
     rule = spec.get("rule") if isinstance(spec, dict) else None
-    if rule not in MATRIX_RULES:
+    if rule not in combiners.RULES:
         raise ValidationError(
-            f"{where} must be a rule ({', '.join(MATRIX_RULES)}) or give entries, got {json.dumps(spec)}"
+            f"{where} must be a rule ({', '.join(combiners.RULES)}) or give entries, got {json.dumps(spec)}"
         )
     _section(spec, where, f"matrix.{rule}")
-    if rule == "identity":
-        return identity_combination(t.n, t)
     params = {key: _get(spec, where, key, RULE_PARAMS[key]) for key in spec.keys() - {"rule"}}
     if rule == "relative_degree_variance" and model is not None:
         params.setdefault("sigma2_v", model.sigma2_v)

@@ -17,6 +17,7 @@ from .graph import Topology, laplacian
 from .stochmat import DOUBLY, LEFT, CombinationMatrix
 
 RULES = (
+    "identity",
     "averaging",
     "laplacian",
     "max_degree",
@@ -44,7 +45,8 @@ def build_combination(
     Parameters
     ----------
     rule : str
-        One of ``averaging``, ``laplacian`` (needs ``gamma``), ``max_degree``,
+        One of ``identity`` (no cooperation), ``averaging``, ``laplacian``
+        (needs ``gamma``), ``max_degree``,
         ``metropolis``, ``relative_degree``, ``relative_variance`` (needs
         per-node ``gamma2``), ``relative_degree_variance`` (needs per-node
         ``sigma2_v``).
@@ -55,14 +57,17 @@ def build_combination(
         Strictly positive variance inputs for the variance-aware rules.
 
     Returns a left-stochastic matrix for the degree/variance rules and a
-    symmetric doubly stochastic matrix for the Laplacian-family and
+    symmetric doubly stochastic matrix for the identity, Laplacian-family and
     Metropolis rules.
     """
     n = t.n
     deg = t.degrees.astype(float)
     mask = t.adjacency | np.eye(n, dtype=bool)  # (l, k) True iff l in N_k
 
-    if rule == "averaging":
+    if rule == "identity":
+        entries = np.eye(n)
+        kind = DOUBLY
+    elif rule == "averaging":
         entries = mask / deg[None, :]
         kind = LEFT
     elif rule in ("laplacian", "max_degree"):

@@ -75,6 +75,7 @@ def test_every_rule_classifies_as_declared():
     for _ in range(20):
         t = graph.random_connected_topology(int(rng.integers(2, 9)), rng)
         specs = [
+            ("identity", {}),
             ("averaging", {}),
             ("laplacian", {"gamma": 1.0 / max(t.max_degree, 2)}),
             ("max_degree", {}),
