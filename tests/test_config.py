@@ -85,7 +85,7 @@ PROBES = [
     ("simulate", ("strategy", "variant"), "consensus_lms", "'c'"),
     ("analyze", ("model", "generator", "M"), "two", "model.generator.M"),
     ("compare", ("strategy", "mu"), {"value": 0.1}, "strategy.mu"),
-    # these raised a traceback before the parser
+    # values that would reach library code and fail there without a message
     ("compare", ("strategy", "mu"), [], "strategy.mu"),
     ("simulate", ("strategy", "mu"), [None], "strategy.mu"),
     ("simulate", ("topology", "edges"), [[], []], "topology.edges"),
