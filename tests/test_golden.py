@@ -1,15 +1,15 @@
 """Fixed-seed outputs of every subcommand, pinned against checked-in files.
 
-``tests/golden/<command>.json`` is a small config for the subcommand of that
-name; ``tests/golden/<command>/`` holds the files it writes.  CSVs must match
-byte for byte; JSON must match exactly except floats, which must agree to
-rtol 1e-12.  To regenerate after an intended output change (and explain every
-changed value in CHANGES.md), run from the repository root:
+``tests/golden/<case>.json`` is a small config and ``tests/golden/<case>/``
+holds the files it writes.  A case is named ``<command>`` or
+``<command>_<variant>``, so one subcommand can have several configs.  CSVs
+must match byte for byte; JSON must match exactly except floats, which must
+agree to rtol 1e-12.  To regenerate a case after an intended output change
+(and explain every changed value in CHANGES.md), run from the repository
+root, for example for ``simulate``:
 
-    for c in simulate analyze compare consensus rls kalman; do
-        OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m diffnet $c \\
-            --config tests/golden/$c.json --out tests/golden/$c
-    done
+    c=simulate; OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m diffnet ${c%%_*} \\
+        --config tests/golden/$c.json --out tests/golden/$c
 """
 
 import json
@@ -22,15 +22,28 @@ from pathlib import Path
 import diffnet
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = ("simulate", "analyze", "compare", "consensus", "rls", "kalman")
+CASES = (
+    "simulate",  # ATC with noisy links
+    "simulate_smoothing_tsa",
+    "simulate_smoothing_warmup",  # leading zero taps: the warm-up fallback
+    "simulate_adaptive_weights",
+    "simulate_consensus_lms",
+    "simulate_general",
+    "analyze",
+    "compare",
+    "consensus",
+    "rls",
+    "kalman",
+)
 
 RUN_ALL = """
 import sys
 from diffnet import cli
 golden, out = sys.argv[1:3]
-for command in sys.argv[3:]:
-    status = cli.main([command, "--config", f"{golden}/{command}.json", "--out", f"{out}/{command}"])
-    print(command, status)
+for case in sys.argv[3:]:
+    command = case.split("_", 1)[0]
+    status = cli.main([command, "--config", f"{golden}/{case}.json", "--out", f"{out}/{case}"])
+    print(case, status)
 """
 
 
@@ -52,18 +65,18 @@ def _assert_json_close(got, want, where):
 def test_every_subcommand_reproduces_its_golden_outputs(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(diffnet.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_ALL, str(GOLDEN), str(tmp_path), *COMMANDS],
+        [sys.executable, "-c", RUN_ALL, str(GOLDEN), str(tmp_path), *CASES],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [w for c in COMMANDS for w in (c, "0")], proc.stderr
-    for command in COMMANDS:
-        want_dir, got_dir = GOLDEN / command, tmp_path / command
+    assert proc.stdout.split() == [w for c in CASES for w in (c, "0")], proc.stderr
+    for case in CASES:
+        want_dir, got_dir = GOLDEN / case, tmp_path / case
         assert sorted(p.name for p in got_dir.iterdir()) == sorted(p.name for p in want_dir.iterdir())
         for want in want_dir.iterdir():
             got = got_dir / want.name
             if want.suffix == ".csv":
-                assert got.read_bytes() == want.read_bytes(), f"{command}/{want.name} differs"
+                assert got.read_bytes() == want.read_bytes(), f"{case}/{want.name} differs"
             else:
                 _assert_json_close(json.loads(got.read_text()), json.loads(want.read_text()),
-                                   f"{command}/{want.name}")
+                                   f"{case}/{want.name}")
