@@ -106,6 +106,11 @@ class LinkNoiseModel:
     intermediate-estimate exchange noises, ``sigma2_d`` the variance of the
     measurement-exchange noise.  Self pairs carry zero noise, and regressors
     are exchanged unperturbed.
+
+    Only the pairs with nonzero noise are drawn: ``_w_pairs``, ``_psi_pairs``
+    and ``_d_pairs`` list them by flat index l*N + k in increasing order, and
+    :func:`sample_link_noise` draws the vw pairs, then the vpsi pairs, then
+    the vd pairs, in that order.
     """
 
     rw: np.ndarray  # (N, N, M, M)
@@ -115,6 +120,8 @@ class LinkNoiseModel:
     _fpsi: np.ndarray = field(init=False, repr=False)  # (P_psi, M, M)
     _w_pairs: np.ndarray = field(init=False, repr=False)  # flat l*N + k of each factor
     _psi_pairs: np.ndarray = field(init=False, repr=False)
+    _sd: np.ndarray = field(init=False, repr=False)  # (P_d,) nonzero standard deviations
+    _d_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rw = np.asarray(self.rw, dtype=float)
@@ -140,6 +147,9 @@ class LinkNoiseModel:
             pairs = np.flatnonzero(factors.any(axis=(1, 2)))
             object.__setattr__(self, "_f" + name, factors[pairs])
             object.__setattr__(self, f"_{name}_pairs", pairs)
+        d_pairs = np.flatnonzero(s2)
+        object.__setattr__(self, "_sd", np.sqrt(s2.reshape(-1)[d_pairs]))
+        object.__setattr__(self, "_d_pairs", d_pairs)
 
     @property
     def n(self) -> int:
@@ -171,22 +181,27 @@ def zero_link_noise(n: int, m: int) -> LinkNoiseModel:
 def sample_link_noise(lm: LinkNoiseModel, rng) -> LinkDraws:
     """Per-pair Gaussian draws; zero-covariance pairs return exact zeros.
 
-    One draw of 2 N^2 M + N^2 normals fills the vw, vpsi and vd inputs in
-    that order; only pairs with a nonzero covariance are transformed.
+    One draw of (P_w + P_psi) M + P_d normals covers only the noisy pairs:
+    M for each vw pair, then M for each vpsi pair, then one for each vd pair,
+    every field's pairs in flat l*N + k order.  Each pair's normals are scaled
+    by its covariance factor and scattered into the dense draws.
     """
     n, m = lm.n, lm.m
-    z = rng.standard_normal(2 * n * n * m + n * n)
+    w_end = lm._w_pairs.size * m
+    psi_end = w_end + lm._psi_pairs.size * m
+    z = rng.standard_normal(psi_end + lm._d_pairs.size)
     draws = []
     for factors, pairs, zs in (
-        (lm._fw, lm._w_pairs, z[: n * n * m]),
-        (lm._fpsi, lm._psi_pairs, z[n * n * m : 2 * n * n * m]),
+        (lm._fw, lm._w_pairs, z[:w_end]),
+        (lm._fpsi, lm._psi_pairs, z[w_end:psi_end]),
     ):
         v = np.zeros((n * n, m))
         if pairs.size:
-            v[pairs] = np.einsum("pij,pj->pi", factors, zs.reshape(n * n, m)[pairs])
+            v[pairs] = np.einsum("pij,pj->pi", factors, zs.reshape(pairs.size, m))
         draws.append(v.reshape(n, n, m))
-    vd = np.sqrt(lm.sigma2_d) * z[2 * n * n * m :].reshape(n, n)
-    return LinkDraws(vw=draws[0], vpsi=draws[1], vd=vd)
+    vd = np.zeros(n * n)
+    vd[lm._d_pairs] = lm._sd * z[psi_end:]
+    return LinkDraws(vw=draws[0], vpsi=draws[1], vd=vd.reshape(n, n))
 
 
 def random_link_noise(

@@ -141,10 +141,20 @@ class DiffusionConfig:
                 raise ValidationError("smoothing f/q sizes must match the node count")
             self._c_smooth = sm.q[:, None] * self._c
             self._c_smooth_identity = np.array_equal(self._c_smooth, eye)
+            self._smooth_taps = [_prefix_taps(sm.f[:, :avail]) for avail in range(1, sm.depth + 1)]
 
     @property
     def n(self) -> int:
         return self.a1.n
+
+
+def _prefix_taps(taps: np.ndarray) -> list:
+    """The T stage's (N, 1) tap columns over a history prefix, renormalized
+    per node; a node whose prefix has zero mass takes its newest entry."""
+    mass = taps.sum(axis=1, keepdims=True)
+    taps = np.where(mass > 0, taps / np.where(mass > 0, mass, 1.0), 0.0)
+    taps[mass[:, 0] == 0, 0] = 1.0
+    return [taps[:, j][:, None] for j in range(taps.shape[1])]
 
 
 def general_config(a1, a2, c, mu, **kw) -> DiffusionConfig:
@@ -326,8 +336,9 @@ def smoothing_step(state: NetworkState, cfg: DiffusionConfig, snapshot: Snapshot
     """One step of a temporal-smoothing variant (orders TSA..AST).
 
     The T stage filters the node's own history of its input stream with taps
-    ``f``; during warm-up the available prefix is renormalized.  The A stage
-    uses the scaled weights ``q_l * c_lk``.
+    ``f``; during warm-up the available prefix is renormalized (the tap
+    columns for every prefix length are built once by the config).  The A
+    stage uses the scaled weights ``q_l * c_lk``.
     """
     sm = cfg.smoothing
     if sm is None:
@@ -341,13 +352,8 @@ def smoothing_step(state: NetworkState, cfg: DiffusionConfig, snapshot: Snapshot
         else:  # T
             state.history.insert(0, x)
             del state.history[sm.depth:]
-            avail = len(state.history)
-            taps = sm.f[:, :avail]
-            mass = taps.sum(axis=1, keepdims=True)
-            # zero prefix mass can only happen during warm-up; fall back to newest
-            taps = np.where(mass > 0, taps / np.where(mass > 0, mass, 1.0), 0.0)
-            taps[mass[:, 0] == 0, 0] = 1.0
-            x = sum(taps[:, j][:, None] * state.history[j] for j in range(avail))
+            taps = cfg._smooth_taps[len(state.history) - 1]
+            x = sum(tap * h for tap, h in zip(taps, state.history))
     state.w = x
     state.i += 1
     return state

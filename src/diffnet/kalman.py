@@ -31,7 +31,8 @@ class StateSpaceModel:
     """Linear state-space model observed by N nodes.
 
     ``x_{i+1} = F x_i + G n_i`` with per-node measurements
-    ``y_k = H_k x + v_k``; measurement covariances must be positive-definite.
+    ``y_k = H_k x + v_k``; measurement covariances must be positive-definite
+    and R_k^-1 H_k must be finite.
     The derived stacks ``rinv_h`` (R_k^-1 H_k), ``info`` (H_k' R_k^-1 H_k)
     and ``r_chol`` (Cholesky factors of R_k), the block-diagonal ``r_block``
     of all nodes' R_k and the process covariance ``gqg`` (G Q G') are
@@ -76,8 +77,13 @@ class StateSpaceModel:
             raise ValidationError("pi0 must be positive-definite") from exc
         if np.linalg.eigvalsh(0.5 * (qm + qm.T))[0] < -1e-12:
             raise ValidationError("process covariance must be nonnegative-definite")
-        rinv_h = np.linalg.solve(r, h)
-        info = h.transpose(0, 2, 1) @ rinv_h
+        with np.errstate(over="ignore", invalid="ignore"):
+            rinv_h = np.linalg.solve(r, h)
+            info = h.transpose(0, 2, 1) @ rinv_h
+        bad = ~(np.isfinite(rinv_h).all(axis=(1, 2)) & np.isfinite(info).all(axis=(1, 2)))
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValidationError(f"R[{k}]^-1 H[{k}] is not finite; R[{k}] is too close to singular")
         n_nodes, p_dim = r.shape[0], r.shape[1]
         r_block = np.zeros((n_nodes, p_dim, n_nodes, p_dim))
         r_block[np.arange(n_nodes), :, np.arange(n_nodes), :] = r

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import filter_oracles as oracle
@@ -170,9 +171,8 @@ def test_rls_subcommand(tmp_path):
     assert (out / "rls_curve.csv").exists()
 
 
-def test_kalman_subcommand(tmp_path):
-    out = tmp_path / "kf"
-    doc = {
+def kalman_config(out):
+    return {
         "seed": 5,
         "trials": 2,
         "iterations": 40,
@@ -191,12 +191,30 @@ def test_kalman_subcommand(tmp_path):
         },
         "outputs": str(out),
     }
-    cfg = write_config(tmp_path, doc)
+
+
+def test_kalman_subcommand(tmp_path):
+    out = tmp_path / "kf"
+    cfg = write_config(tmp_path, kalman_config(out))
     assert cli.main(["kalman", "--config", cfg]) == 0
     res = json.loads((out / "kalman.json").read_text())
     for key in ("diffusion_msd_final", "consensus_msd_final", "central_msd_final"):
         assert res[key] > 0
     assert (out / "kalman_curve.csv").exists()
+
+
+def test_kalman_overflowing_inverse_covariance_is_validation_error(tmp_path, capsys):
+    # 2.2e-311 is positive, so its Cholesky factor exists, but its inverse
+    # overflows; the run must stop before it writes nan MSDs
+    doc = kalman_config(tmp_path / "kf")
+    doc["strategy"]["kalman"]["r"][0] = [[2.2e-311]]
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["kalman", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "R[0]" in err[0]
+    assert not (tmp_path / "kf").exists()
 
 
 def _curve_columns(path):

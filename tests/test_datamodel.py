@@ -81,38 +81,60 @@ def test_zero_link_noise_draws_exact_zero():
     assert np.all(draws.vd == 0.0)
 
 
-def test_link_draws_match_three_draw_transform():
-    # one draw of 2 N^2 M + N^2 normals must consume the generator as the
-    # three per-field draws did, and the pair-restricted transform must give
-    # the full (N, N) transform's values
-    t = graph.random_connected_topology(7, np.random.default_rng(8))
+def test_link_draws_cover_only_noisy_pairs():
+    # each call consumes exactly (P_w + P_psi) M + P_d normals: M per noisy vw
+    # pair, then M per noisy vpsi pair, then one per noisy vd pair, each field
+    # in flat l*N + k order; the values are the covariance factors applied to
+    # those normals, and every pair off the support is exactly zero
+    n, m = 7, 3
+    t = graph.random_connected_topology(n, np.random.default_rng(8))
     for w_scale in (0.0, 1e-3):
-        lm = random_link_noise(t, 3, np.random.default_rng(9), w_scale=w_scale)
+        lm = random_link_noise(t, m, np.random.default_rng(9), w_scale=w_scale)
+        fw, fpsi = (_psd_factors(cov, name) for cov, name in ((lm.rw, "rw"), (lm.rpsi, "rpsi")))
+        supports = [lm.rw.any(axis=(2, 3)), lm.rpsi.any(axis=(2, 3)), lm.sigma2_d != 0]
+        assert supports[1].sum() == supports[2].sum() == t.adjacency.sum()
+        assert supports[0].sum() == (t.adjacency.sum() if w_scale > 0 else 0)
+        sizes = (supports[0].sum() * m, supports[1].sum() * m, supports[2].sum())
         rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
         for _ in range(20):
             draws = sample_link_noise(lm, rng)
-            fw, fpsi = (_psd_factors(cov, name) for cov, name in ((lm.rw, "rw"), (lm.rpsi, "rpsi")))
-            vw = np.einsum("lkij,lkj->lki", fw, ref_rng.standard_normal((7, 7, 3)))
-            vpsi = np.einsum("lkij,lkj->lki", fpsi, ref_rng.standard_normal((7, 7, 3)))
-            vd = np.sqrt(lm.sigma2_d) * ref_rng.standard_normal((7, 7))
-            np.testing.assert_allclose(draws.vw, vw, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(draws.vpsi, vpsi, rtol=1e-13, atol=0.0)
-            np.testing.assert_array_equal(draws.vd, vd)
+            z = ref_rng.standard_normal(sum(sizes))
+            zw, zpsi, zd = z[: sizes[0]], z[sizes[0] : sizes[0] + sizes[1]], z[sizes[0] + sizes[1] :]
+            for got, factors, support, zs in ((draws.vw, fw, supports[0], zw),
+                                              (draws.vpsi, fpsi, supports[1], zpsi)):
+                want = np.einsum("pij,pj->pi", factors[support], zs.reshape(-1, m))
+                np.testing.assert_allclose(got[support], want, rtol=1e-13, atol=0.0)
+                assert np.all(got[~support] == 0.0)
+            np.testing.assert_array_equal(draws.vd[supports[2]], np.sqrt(lm.sigma2_d[supports[2]]) * zd)
+            assert np.all(draws.vd[~supports[2]] == 0.0)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_link_noise_empirical_covariance():
-    t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
+    # every noisy entry of a 3-node path (four directed pairs, all three
+    # fields) has its model covariance, and distinct pairs and fields are
+    # uncorrelated
+    t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [2, 3]]})
     rng = np.random.default_rng(5)
-    lm = random_link_noise(t, 2, rng, psi_scale=0.5, d_scale=0.1)
+    lm = random_link_noise(t, 2, rng, w_scale=0.5, psi_scale=0.5, d_scale=0.1)
+    pairs = np.argwhere(t.adjacency)
+    assert len(pairs) == 4
     n_draws = 100000
-    acc = np.zeros((2, 2))
-    for _ in range(n_draws):
-        v = sample_link_noise(lm, rng).vpsi[0, 1]
-        acc += np.outer(v, v)
-    acc /= n_draws
-    target = lm.rpsi[0, 1]
-    assert np.abs(acc - target).max() <= 0.03 * np.abs(target).max()
+    vw, vpsi, vd = np.empty((n_draws, 3, 3, 2)), np.empty((n_draws, 3, 3, 2)), np.empty((n_draws, 3, 3))
+    for i in range(n_draws):
+        vw[i], vpsi[i], vd[i] = sample_link_noise(lm, rng)
+    l, k = pairs.T
+    x = np.concatenate([vw[:, l, k].reshape(n_draws, -1), vpsi[:, l, k].reshape(n_draws, -1), vd[:, l, k]], axis=1)
+    acc = x.T @ x / n_draws
+    blocks = [(slice(2 * j, 2 * j + 2), lm.rw[l, k]) for j, (l, k) in enumerate(pairs)]
+    blocks += [(slice(8 + 2 * j, 10 + 2 * j), lm.rpsi[l, k]) for j, (l, k) in enumerate(pairs)]
+    blocks += [(slice(16 + j, 17 + j), lm.sigma2_d[l, k].reshape(1, 1)) for j, (l, k) in enumerate(pairs)]
+    off_block = np.ones_like(acc, dtype=bool)
+    for idx, target in blocks:
+        assert np.abs(acc[idx, idx] - target).max() <= 0.03 * np.abs(target).max()
+        off_block[idx, idx] = False
+    scale = np.sqrt(np.diagonal(acc))
+    assert np.abs(acc / np.outer(scale, scale))[off_block].max() <= 0.03
 
 
 def test_link_noise_validation():

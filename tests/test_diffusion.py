@@ -347,6 +347,49 @@ def test_smoothing_t_stage_idempotent_on_constant_history():
         np.testing.assert_allclose(state.w, a.entries.T @ np.array([[2.0], [4.0]]))
 
 
+def _smoothing_step_oracle(state, cfg, snapshot):
+    """smoothing_step with the T stage renormalizing its warm-up prefix taps
+    on every step, as the step once did."""
+    sm = cfg.smoothing
+    x = state.w
+    for stage in sm.order:
+        if stage == "A":
+            x = diffusion._lms_update(x, snapshot, cfg.mu, cfg._c_smooth, cfg._c_smooth_identity)
+        elif stage == "S":
+            x = cfg._a2t @ x
+        else:
+            state.history.insert(0, x)
+            del state.history[sm.depth:]
+            avail = len(state.history)
+            taps = sm.f[:, :avail]
+            mass = taps.sum(axis=1, keepdims=True)
+            taps = np.where(mass > 0, taps / np.where(mass > 0, mass, 1.0), 0.0)
+            taps[mass[:, 0] == 0, 0] = 1.0
+            x = sum(taps[:, j][:, None] * state.history[j] for j in range(avail))
+    state.w = x
+    state.i += 1
+    return state
+
+
+@pytest.mark.parametrize("order", ["TSA", "ATS", "SAT"])
+def test_smoothing_taps_built_once_match_per_step_renormalization(order):
+    # rows with leading zero taps (zero-mass warm-up prefixes) and a row whose
+    # mass is not exactly 1 (0.2 + 0.7 + 0.1 sums to 1 - 2**-53)
+    f = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.4, 0.0, 0.6], [0.2, 0.7, 0.1, 0.0]])
+    assert f[2].sum() != 1.0
+    rng = np.random.default_rng(12)
+    t = graph.random_connected_topology(3, rng)
+    model = generate_model(rng, 3, 2)
+    a = combiners.build_combination(t, "metropolis")
+    cfg = _smoothing_cfg(t, a, order, f, [0.9, 1.0, 0.8], 0.05)
+    state, ref = init_state(cfg, 2), init_state(cfg, 2)
+    for _ in range(2 * f.shape[1]):
+        snap = sample_snapshot(model, rng)
+        state = smoothing_step(state, cfg, snap)
+        ref = _smoothing_step_oracle(ref, cfg, snap)
+        assert np.array_equal(state.w, ref.w)
+
+
 def test_smoothing_config_validation():
     with pytest.raises(ValidationError):
         SmoothingConfig(order="XYZ", f=np.array([[1.0]]), q=np.array([1.0]))
