@@ -46,7 +46,6 @@ class NetworkMoments:
     r: np.ndarray  # (NM, NM) blockdiag{R_k}
     ru: np.ndarray  # (NM, NM) blockdiag{R_{u,k}}
     s: np.ndarray  # (NM, NM) blockdiag{sigma2_{v,k} R_{u,k}}
-    rv: np.ndarray  # (N, N) diag{sigma2_{v,k}}
     n: int
     m: int
     ru_stack: np.ndarray = field(repr=False, default=None)  # (N, M, M)
@@ -75,7 +74,6 @@ def build_moments(model: EnsembleModel, cfg: DiffusionConfig) -> NetworkMoments:
         r=_blockdiag(rk),
         ru=_blockdiag(model.ru),
         s=s,
-        rv=np.diag(model.sigma2_v),
         n=n,
         m=m,
         ru_stack=model.ru,
@@ -95,15 +93,13 @@ class VarianceConstructs:
     """
 
     b: np.ndarray
-    g: np.ndarray
     y: np.ndarray
     rho_b: float
-    z: np.ndarray | None = None  # gradient-noise covariance C' S C (+ link term)
     delta_y: np.ndarray | None = None
 
 
 def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> VarianceConstructs:
-    """Perfect-exchange constructs B, G and Y."""
+    """Perfect-exchange constructs B and Y = G S G', with G = A2' M C'."""
     m = moments.m
     a1t = kron_identity(cfg.a1.entries.T, m)
     a2t = kron_identity(cfg.a2.entries.T, m)
@@ -112,8 +108,7 @@ def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> Varian
     g = a2t @ moments.mblk @ ct
     y = g @ moments.s @ g.T
     rho_b = float(np.abs(np.linalg.eigvals(b)).max())
-    z = ct @ moments.s @ ct.T
-    return VarianceConstructs(b=b, g=g, y=y, rho_b=rho_b, z=z)
+    return VarianceConstructs(b=b, y=y, rho_b=rho_b)
 
 
 def imperfect_constructs(
@@ -139,13 +134,11 @@ def imperfect_constructs(
 
     a2t = kron_identity(cfg.a2.entries.T, m)
     h = a2t @ (np.eye(n * m) - moments.mblk @ moments.r)
-    rdu = _blockdiag(rdu_blocks)
     delta_y = (
-        a2t @ moments.mblk @ rdu @ moments.mblk @ a2t.T
+        a2t @ moments.mblk @ _blockdiag(rdu_blocks) @ moments.mblk @ a2t.T
         + h @ _blockdiag(rw_blocks) @ h.T
         + _blockdiag(rpsi_blocks)
     )
-    vc.z = vc.z + rdu
     vc.delta_y = delta_y
     vc.y = vc.y + delta_y
     return vc
@@ -359,23 +352,11 @@ class ComparisonRow:
     lhs: float | None
     rhs: float | None
 
-    @property
-    def margin(self) -> float | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
-
 
 @dataclass
 class ComparisonReport:
     msd: dict
     rows: list
-
-    def row(self, name: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def compare_strategies(model: EnsembleModel, a, c, mu, tol: float = 1e-9) -> ComparisonReport:
@@ -461,69 +442,3 @@ def compare_strategies(model: EnsembleModel, a, c, mu, tol: float = 1e-9) -> Com
         ),
     ]
     return ComparisonReport(msd=msd, rows=rows)
-
-
-def generic_cost_report(hessians, cfg: DiffusionConfig, z: np.ndarray) -> float:
-    """Network MSD for generic convex costs from Hessians at the minimizer.
-
-    ``hessians`` holds per-node Hessians in the moment convention of the
-    quadratic model (pass R_{u,k} for the built-in cost), and ``z`` is the
-    gradient-noise covariance at the minimizer (C' S C for the quadratic
-    cost), making the result coincide with :func:`performance_report`.
-    """
-    hess = np.asarray(hessians, dtype=float)
-    n, m = hess.shape[0], hess.shape[1]
-    rk = np.einsum("lk,lmn->kmn", cfg.c.entries, hess)
-    mblk = np.kron(np.diag(cfg.mu), np.eye(m))
-    a1t = kron_identity(cfg.a1.entries.T, m)
-    a2t = kron_identity(cfg.a2.entries.T, m)
-    b = a2t @ (np.eye(n * m) - mblk @ _blockdiag(rk)) @ a1t
-    rho_b = float(np.abs(np.linalg.eigvals(b)).max())
-    if rho_b >= 1.0:
-        raise InstabilityError(f"rho(B) = {rho_b:.6g} >= 1")
-    y = a2t @ mblk @ np.asarray(z, dtype=float) @ mblk @ a2t.T
-    return float(np.trace(_steady_state(b, y))) / n
-
-
-def uniform_profile_msd(
-    a1, a2, c, rv: np.ndarray, ru: np.ndarray, mu: float, tol: float = 1e-14, max_terms: int = 500000
-) -> float:
-    """Decoupled network MSD under a uniform data profile.
-
-    Requires R_{u,k} = R_u and mu_k = mu for all nodes with doubly stochastic
-    C; the series then factors into an N x N combination/noise part and an
-    M x M data part, evaluated without any Kronecker assembly.  Serves as an
-    independent cross-check of the block-form engine.
-    """
-    a1e = a1.entries if hasattr(a1, "entries") else np.asarray(a1, dtype=float)
-    a2e = a2.entries if hasattr(a2, "entries") else np.asarray(a2, dtype=float)
-    ce = c.entries if hasattr(c, "entries") else np.asarray(c, dtype=float)
-    n = a1e.shape[0]
-    core_n = a2e.T @ ce.T @ rv @ ce @ a2e
-    prop_n = a2e.T @ a1e.T
-    core_m = ru.copy()
-    prop_m = np.eye(ru.shape[0]) - mu * ru
-    total = 0.0
-    term_n = core_n.copy()
-    term_m = core_m.copy()
-    for _ in range(max_terms):
-        inc = np.trace(term_n) * np.trace(term_m)
-        total += inc
-        if abs(inc) <= tol * max(abs(total), 1e-300):
-            return mu * mu * total / n
-        term_n = prop_n @ term_n @ prop_n.T
-        term_m = prop_m @ term_m @ prop_m.T
-    raise InstabilityError("uniform-profile series did not converge")
-
-
-def noncooperative_small_step(model: EnsembleModel, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Small-step closed forms for stand-alone LMS nodes.
-
-    Returns per-node (MSD, EMSE) approximations
-    ``mu sigma_v^2 M / 2`` and ``mu sigma_v^2 Tr(R_u) / 2``.
-    """
-    mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (model.n,))
-    traces = np.trace(model.ru, axis1=1, axis2=2)
-    msd = mu_arr * model.sigma2_v * model.m / 2.0
-    emse = mu_arr * model.sigma2_v * traces / 2.0
-    return msd, emse

@@ -9,11 +9,12 @@ Config schema (``SCHEMA`` below): one JSON object of sections.  A section
 that is not an object, a key its section does not list and a variant
 outside ``diffusion.VARIANTS`` are validation errors.  Defaults are in
 brackets; other keys are required, except that a section or a matrix may be
-left out.  The top level is shared: analyze ignores trials and iterations,
-consensus ignores model and trials, kalman ignores model.
+left out.  The top level takes only the keys its subcommand reads, except
+that analyze accepts trials and iterations and ignores them.
 
   top level     seed, trials [1], iterations [0; consensus 200, rls 500,
-                kalman 100], outputs ["out"], topology, model, strategy
+                kalman 100], outputs ["out"], topology, model, strategy;
+                consensus takes no model or trials, kalman no model
   topology      n, and edges [[]] (1-based node pairs) or random
   random        seed [0], edge_prob [0.3]
   model         generator, or wo, ru and sigma2_v
@@ -63,9 +64,12 @@ LMS_MATRICES = {
 }
 
 # section -> the keys the code reads from it; a section with two forms has
-# one entry per form
+# one entry per form, and a subcommand whose top level reads fewer keys has
+# its own entry
 SCHEMA = {
     "config": {"seed", "trials", "iterations", "outputs", "topology", "model", "strategy"},
+    "config.consensus": {"seed", "iterations", "outputs", "topology", "strategy"},
+    "config.kalman": {"seed", "trials", "iterations", "outputs", "topology", "strategy"},
     "topology": {"n", "edges"},
     "topology.random": {"n", "random"},
     "random": {"seed", "edge_prob"},
@@ -167,13 +171,17 @@ class ExperimentConfig:
     outputs: str
 
     @classmethod
-    def load(cls, path, overrides=None) -> "ExperimentConfig":
+    def load(cls, path, overrides=None, command=None) -> "ExperimentConfig":
+        """The config at ``path`` with the command-line ``overrides`` applied,
+        checked against ``command``'s top-level keys."""
         with open(path) as fh:
             doc = _section(json.load(fh), "config", "config")
         overrides = overrides or {}
         for key in ("seed", "trials", "out"):
             if overrides.get(key) is not None:
                 doc[{"out": "outputs"}.get(key, key)] = overrides[key]
+        if f"config.{command}" in SCHEMA:
+            _section(doc, "config", f"config.{command}")
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
         outputs = doc.get("outputs", "out")
@@ -362,7 +370,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     t, model, cfg = _lms_setup(config)
     moments, constructs, report, stability = _theory(model, cfg)
     steps = config.iterations
-    mc = diffusion.run_trials(model, cfg, steps, config.trials, config.seed, topology=t)
+    mc = diffusion.run_trials(model, cfg, steps, config.trials, config.seed)
 
     if report.stable_ms and steps > 0:
         emse_theory, msd_theory = analysis.learning_curve_theory(constructs, moments, None, steps)
@@ -576,7 +584,7 @@ def main(argv=None) -> int:
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
-        return args.func(ExperimentConfig.load(args.config, vars(args)))
+        return args.func(ExperimentConfig.load(args.config, vars(args), args.command))
     except (DiffnetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,17 +123,6 @@ def _normalized_columns(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return entries / entries.sum(axis=0, keepdims=True)
 
 
-def variance_product(mu: float, sigma2_v: float, trace_ru: float) -> float:
-    """Noise-data variance product ``mu^2 * sigma_v^2 * Tr(R_u)``.
-
-    The per-node quality measure behind the relative-variance rule; it equals
-    the steady-state mean of ``||psi - w_prev||^2`` for small step sizes.
-    """
-    if mu < 0 or sigma2_v < 0 or trace_ru < 0:
-        raise PreconditionError("variance product inputs must be nonnegative")
-    return mu * mu * sigma2_v * trace_ru
-
-
 @dataclass
 class VarianceProductState:
     """Running per-link variance-product estimates.
@@ -167,15 +156,14 @@ def init_variance_state(t: Topology, nu=0.05) -> VarianceProductState:
     )
 
 
-def adapt_weights_all(
-    state: VarianceProductState, psi_received, w_prev, floor: float = VARIANCE_FLOOR
-):
+def adapt_weights_all(state: VarianceProductState, psi_received, w_prev):
     """Vectorized weight refresh for every node at once.
 
     ``psi_received`` is either (N, M) (perfect links: every node sees the
     same psi) or (N, N, M) with entry ``[l, k]`` the copy of psi_l received
-    by node k.  Returns ``(state, entries, floored)`` with ``entries`` a
-    left-stochastic matrix supported on the topology.
+    by node k.  Returns ``(state, entries)`` with ``entries`` a
+    left-stochastic matrix supported on the topology; estimates below
+    ``VARIANCE_FLOOR`` are inverted at the floor.
     """
     psi_received = np.asarray(psi_received)
     w_prev = np.asarray(w_prev)
@@ -188,7 +176,6 @@ def adapt_weights_all(
     nu = state.nu[None, :]
     # off the support gamma2 stays 0 and its weight 0 / floor = 0
     state.gamma2 = (1.0 - nu) * state.gamma2 + nu * np.where(sup, d2, 0.0)
-    floored = bool(np.any((state.gamma2 < floor) & sup))
-    inv = sup / np.maximum(state.gamma2, floor)
+    inv = sup / np.maximum(state.gamma2, VARIANCE_FLOOR)
     entries = inv / inv.sum(axis=0, keepdims=True)
-    return state, entries, floored
+    return state, entries

@@ -1,11 +1,9 @@
-"""Ground-truth linear data model, sampling, and quadratic cost evaluation.
+"""Ground-truth linear data model and the sampling of network data and
+link noise.
 
 Every node k observes scalar measurements ``d_k(i) = u_{k,i} w_o + v_k(i)``
 with zero-mean Gaussian regressors of covariance ``R_{u,k}`` and independent
-zero-mean Gaussian noise of variance ``sigma2_{v,k}``.  All data are real;
-the gradient of the per-node quadratic cost is ``2 (R_{u,k} w - r_{du,k})``,
-while the iterative strategies use the update form ``mu * (r_du - R_u w)``
-directly so that the standard step-size bounds apply unchanged.
+zero-mean Gaussian noise of variance ``sigma2_{v,k}``.  All data are real.
 """
 
 from __future__ import annotations
@@ -81,11 +79,6 @@ class EnsembleModel:
     @property
     def m(self) -> int:
         return self.wo.size
-
-    def jmin(self, k: int) -> float:
-        """Minimum cost at node k; equals the noise floor sigma2_v[k]."""
-        r = self.rdu[k]
-        return float(self.sigma2_d[k] - r @ np.linalg.solve(self.ru[k], r))
 
 
 def sample_snapshot(model: EnsembleModel, rng) -> Snapshot:
@@ -172,12 +165,6 @@ def _psd_factors(covs: np.ndarray, name: str) -> np.ndarray:
     return np.einsum("lkij,lkj,lkmj->lkim", vecs, root, vecs)
 
 
-def zero_link_noise(n: int, m: int) -> LinkNoiseModel:
-    return LinkNoiseModel(
-        rw=np.zeros((n, n, m, m)), rpsi=np.zeros((n, n, m, m)), sigma2_d=np.zeros((n, n))
-    )
-
-
 def sample_link_noise(lm: LinkNoiseModel, rng) -> LinkDraws:
     """Per-pair Gaussian draws; zero-covariance pairs return exact zeros.
 
@@ -225,28 +212,6 @@ def random_link_noise(
             if d_scale > 0:
                 s2[l, k] = d_scale * rng.random()
     return LinkNoiseModel(rw=rw, rpsi=rpsi, sigma2_d=s2)
-
-
-class CostEval(NamedTuple):
-    j: float
-    gradient: np.ndarray
-    jmin: float
-
-
-def quadratic_cost(model: EnsembleModel, k: int, w) -> CostEval:
-    """Evaluate node k's quadratic cost, its gradient, and the minimum value.
-
-    ``J_k(w) = sigma2_d - 2 w'r + w'Rw`` with gradient ``2 (R w - r)``; the
-    gradient vanishes at the ground truth and ``J_k(wo) = sigma2_v[k]``.
-    """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != model.m:
-        raise ValidationError(f"w must have length {model.m}")
-    r = model.rdu[k]
-    ru = model.ru[k]
-    j = float(model.sigma2_d[k] - 2.0 * (w @ r) + w @ ru @ w)
-    grad = 2.0 * (ru @ w - r)
-    return CostEval(j=j, gradient=grad, jmin=model.jmin(k))
 
 
 def generate_model(

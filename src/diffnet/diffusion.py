@@ -1,5 +1,5 @@
-"""Iterative strategies: diffusion (steepest-descent and adaptive), consensus
-baselines, temporal-smoothing variants, and generic-convex-cost diffusion.
+"""Iterative strategies: adaptive diffusion LMS, the consensus baselines and
+the temporal-smoothing variants, with the Monte Carlo trial loop.
 
 The general diffusion step with matrices {A1, C, A2} is
 
@@ -10,6 +10,8 @@ The general diffusion step with matrices {A1, C, A2} is
 ATC is (A1=I, A2=A), CTA is (A1=A, A2=I), and the non-cooperative mode is
 (A1=A2=C=I).  The consensus baseline combines prior neighbor iterates but
 adapts around the node's own previous estimate instead of the combined one.
+Consensus LMS takes no extension, and smoothing takes neither noisy links nor
+adaptive weights: the step loop has no form for those combinations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import combiners
 from .datamodel import EnsembleModel, LinkDraws, LinkNoiseModel, Snapshot, sample_link_noise, sample_snapshot
 from .errors import PreconditionError, ValidationError
-from .stochmat import DOUBLY, LEFT, RIGHT, CombinationMatrix, classify_stochastic
+from .stochmat import DOUBLY, LEFT, RIGHT, CombinationMatrix
 
 GENERAL = "general"
 ATC = "atc"
@@ -34,6 +36,12 @@ SMOOTHING_ORDERS = ("TSA", "TAS", "STA", "ATS", "SAT", "AST")
 
 # scale-aware divergence sentinel: trip when ||w|| > SENTINEL * (1 + ||wo||)
 SENTINEL = 1e9
+
+# trailing share of a curve that steady_state averages
+STEADY_STATE_WINDOW = 0.1
+# fit_geometric_rate drops this leading share of the points above RATE_FLOOR
+RATE_SKIP_FRAC = 0.3
+RATE_FLOOR = 1e-11
 
 
 @dataclass
@@ -70,7 +78,6 @@ class AdaptiveWeightConfig:
     """Online relative-variance combination weights (ATC family only)."""
 
     nu: np.ndarray | float = 0.05
-    floor: float = combiners.VARIANCE_FLOOR
 
 
 @dataclass
@@ -105,6 +112,11 @@ class DiffusionConfig:
             raise ValidationError("step sizes must be nonnegative")
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}")
+        extensions = [name for name in ("link_noise", "adaptive_weights") if getattr(self, name) is not None]
+        if self.variant == CONSENSUS_LMS and (extensions or self.smoothing is not None):
+            raise ValidationError("consensus_lms takes no link_noise, adaptive_weights or smoothing")
+        if self.smoothing is not None and extensions:
+            raise ValidationError(f"smoothing does not combine with {' or '.join(extensions)}")
 
         eye = np.eye(n)
         self._a1t = self.a1.entries.T.copy()
@@ -157,10 +169,6 @@ def _prefix_taps(taps: np.ndarray) -> list:
     return [taps[:, j][:, None] for j in range(taps.shape[1])]
 
 
-def general_config(a1, a2, c, mu, **kw) -> DiffusionConfig:
-    return DiffusionConfig(a1=a1, a2=a2, c=c, mu=mu, variant=GENERAL, **kw)
-
-
 def atc_config(a, c, mu, **kw) -> DiffusionConfig:
     from .stochmat import identity_combination
 
@@ -184,18 +192,9 @@ def non_cooperative_config(n, mu, **kw) -> DiffusionConfig:
     return DiffusionConfig(a1=eye, a2=eye, c=eye, mu=mu, variant=NON_COOPERATIVE, **kw)
 
 
-def consensus_lms_config(a, mu, **kw) -> DiffusionConfig:
-    from .stochmat import identity_combination
-
-    return DiffusionConfig(
-        a1=identity_combination(a.n), a2=a, c=identity_combination(a.n),
-        mu=mu, variant=CONSENSUS_LMS, **kw
-    )
-
-
 @dataclass
 class NetworkState:
-    """Per-trial iterate: current estimates, smoothing history, time index.
+    """Per-trial iterate: current estimates and smoothing history.
 
     ``history`` holds the last P inputs of the temporal-smoothing stage
     (newest first); it stays empty when smoothing is off.  The adaptive
@@ -204,19 +203,16 @@ class NetworkState:
 
     w: np.ndarray  # (N, M)
     history: list = field(default_factory=list)
-    i: int = 0
     weights_state: combiners.VarianceProductState | None = None
     a2_dynamic: np.ndarray | None = None
 
 
-def init_state(cfg: DiffusionConfig, m: int, topology=None, w0=None) -> NetworkState:
-    """Fresh state: all estimates start at zero unless ``w0`` is given."""
-    n = cfg.n
-    w = np.zeros((n, m)) if w0 is None else np.array(w0, dtype=float).reshape(n, m)
-    state = NetworkState(w=w)
+def init_state(cfg: DiffusionConfig, m: int) -> NetworkState:
+    """Fresh state: all estimates start at zero.  Adaptive weights live on
+    the support of ``cfg.a2``."""
+    state = NetworkState(w=np.zeros((cfg.n, m)))
     if cfg.adaptive_weights is not None:
-        if topology is None:
-            topology = cfg.a2.supported_on
+        topology = cfg.a2.supported_on
         if topology is None:
             raise ValidationError("adaptive weights need a topology (set supported_on on a2)")
         state.weights_state = combiners.init_variance_state(topology, cfg.adaptive_weights.nu)
@@ -269,9 +265,7 @@ def adaptive_step(
 
     if cfg.adaptive_weights is not None:
         psi_recv = psi[:, None, :] + link_draws.vpsi if noisy else psi
-        state.weights_state, entries, _ = combiners.adapt_weights_all(
-            state.weights_state, psi_recv, w_prev, cfg.adaptive_weights.floor
-        )
+        state.weights_state, entries = combiners.adapt_weights_all(state.weights_state, psi_recv, w_prev)
         state.a2_dynamic = entries
         if noisy:
             w = np.einsum("lk,lkm->km", entries, psi[:, None, :] + link_draws.vpsi)
@@ -285,7 +279,6 @@ def adaptive_step(
         w = cfg._a2t @ psi
 
     state.w = w
-    state.i += 1
     return state
 
 
@@ -297,38 +290,6 @@ def consensus_lms_step(state: NetworkState, a, mu, snapshot: Snapshot) -> Networ
     u, d = snapshot.u, snapshot.d
     err = d - np.einsum("km,km->k", u, state.w)
     state.w = a_entries.T @ state.w + (mu * err)[:, None] * u
-    state.i += 1
-    return state
-
-
-def generic_cost_step(
-    state: NetworkState, cfg: DiffusionConfig, grad_oracle, noise_oracle=None
-) -> NetworkState:
-    """Diffusion step for arbitrary per-node costs.
-
-    ``grad_oracle(l, w)`` returns the gradient of cost l at ``w``; for the
-    quadratic model it is ``R_u w - r_du`` (see ``run_steepest_descent``).
-    ``noise_oracle(l, w)``, when given, adds zero-mean gradient noise.
-    """
-    phi = state.w if cfg._a1_identity else cfg._a1t @ state.w
-    psi = np.empty_like(phi)
-    c = cfg._c
-    m = phi.shape[1]
-    for k in range(cfg.n):
-        acc = np.zeros(m)
-        for l in range(cfg.n):
-            clk = c[l, k]
-            if clk == 0.0:
-                continue
-            grad = np.asarray(grad_oracle(l, phi[k]), dtype=float)
-            if grad.shape != (m,):
-                raise ValidationError(f"gradient oracle returned shape {grad.shape}, expected ({m},)")
-            if noise_oracle is not None:
-                grad = grad + np.asarray(noise_oracle(l, phi[k]), dtype=float)
-            acc += clk * grad
-        psi[k] = phi[k] - cfg.mu[k] * acc
-    state.w = psi if cfg._a2_identity else cfg._a2t @ psi
-    state.i += 1
     return state
 
 
@@ -355,7 +316,6 @@ def smoothing_step(state: NetworkState, cfg: DiffusionConfig, snapshot: Snapshot
             taps = cfg._smooth_taps[len(state.history) - 1]
             x = sum(tap * h for tap, h in zip(taps, state.history))
     state.w = x
-    state.i += 1
     return state
 
 
@@ -371,52 +331,18 @@ def consensus_error_curve(a, z0, n_iters: int) -> np.ndarray:
     return errs
 
 
-def fit_geometric_rate(errors, skip_frac: float = 0.3, floor: float = 1e-11) -> float:
+def fit_geometric_rate(errors) -> float:
     """Least-squares slope fit of log-error, skipping the initial transient
     and anything at the numerical floor.  Returns the per-iteration rate."""
     errors = np.asarray(errors, dtype=float)
-    idx = np.flatnonzero(errors > floor)
+    idx = np.flatnonzero(errors > RATE_FLOOR)
     if idx.size < 5:
         raise PreconditionError("too few points above the floor to fit a rate")
-    idx = idx[int(skip_frac * idx.size):]
+    idx = idx[int(RATE_SKIP_FRAC * idx.size):]
     if idx.size < 3:
         raise PreconditionError("too few points left after transient skip")
     slope = np.polyfit(idx.astype(float), np.log(errors[idx]), 1)[0]
     return float(np.exp(slope))
-
-
-def step_size_bounds(model: EnsembleModel, c) -> np.ndarray:
-    """Per-node stability bounds ``2 / lambda_max(R_k)`` with
-    ``R_k = sum_l c_lk R_{u,l}``."""
-    c_entries = c.entries if isinstance(c, CombinationMatrix) else np.asarray(c, dtype=float)
-    if RIGHT not in classify_stochastic(c_entries, 1e-9):
-        raise PreconditionError("c must be right-stochastic")
-    rk = np.einsum("lk,lmn->kmn", c_entries, model.ru)
-    lam_max = np.linalg.eigvalsh(rk)[:, -1]
-    return 2.0 / lam_max
-
-
-def generic_step_bound(lambda_min, lambda_max, c, alpha: float = 0.0) -> np.ndarray:
-    """Per-node bound for generic convex costs with Hessian spectra in
-    ``[lambda_min, lambda_max]`` per node.
-
-    Noise-free case (alpha = 0): ``2 / sigma_k_max``.  With gradient noise of
-    relative bound alpha, the tighter noisy-case bound applies.
-    """
-    c_entries = c.entries if isinstance(c, CombinationMatrix) else np.asarray(c, dtype=float)
-    lam_min = np.asarray(lambda_min, dtype=float)
-    lam_max = np.asarray(lambda_max, dtype=float)
-    sig_max = c_entries.T @ lam_max
-    if alpha == 0.0:
-        return 2.0 / sig_max
-    sig_min = c_entries.T @ lam_min
-    if np.any(sig_min <= 0):
-        raise PreconditionError("sigma_k_min must be positive for the noisy bound")
-    c1 = np.abs(c_entries).sum(axis=0).max() ** 2  # ||C||_1 squared
-    return np.minimum(
-        2.0 * sig_max / (sig_max**2 + alpha * c1),
-        2.0 * sig_min / (sig_min**2 + alpha * c1),
-    )
 
 
 @dataclass
@@ -439,8 +365,6 @@ def simulate_trial(
     cfg: DiffusionConfig,
     iterations: int,
     rng,
-    topology=None,
-    w0=None,
 ) -> TrialResult:
     """Run one trial of the configured strategy on freshly sampled data.
 
@@ -451,7 +375,7 @@ def simulate_trial(
     reported, not raised.  A diverged trial's ``state`` is the one at the end
     of that step's block, so its generator has also advanced that far.
     """
-    state = init_state(cfg, model.m, topology=topology, w0=w0)
+    state = init_state(cfg, model.m)
     msd_node = np.empty((iterations, model.n))
     emse_node = np.empty((iterations, model.n))
     block = np.empty((min(_METRIC_BLOCK, iterations), model.n, model.m))
@@ -499,32 +423,6 @@ def simulate_trial(
     )
 
 
-def run_steepest_descent(
-    model: EnsembleModel, cfg: DiffusionConfig, iterations: int, w0=None
-) -> tuple[np.ndarray, NetworkState]:
-    """Deterministic trajectory of ||w_i - wo|| per iteration: the diffusion
-    step driven by the true moments, i.e. the generic cost step with the
-    quadratic gradient ``R_u,l w - r_du,l``."""
-    if cfg.variant == CONSENSUS_LMS:
-        raise PreconditionError("steepest-descent form not defined for the consensus variant")
-    if model.n != cfg.n:
-        raise ValidationError("model size does not match configuration")
-
-    def gradient(l, w):
-        return model.ru[l] @ w - model.rdu[l]
-
-    state = init_state(cfg, model.m, w0=w0)
-    dev = np.empty(iterations)
-    sentinel = SENTINEL * (1.0 + np.linalg.norm(model.wo))
-    for i in range(iterations):
-        state = generic_cost_step(state, cfg, gradient)
-        dev[i] = np.linalg.norm(model.wo[None, :] - state.w)
-        if not np.isfinite(dev[i]) or np.linalg.norm(state.w) > sentinel:
-            dev[i + 1:] = np.inf
-            break
-    return dev, state
-
-
 def trial_rngs(seed: int, trials: int) -> list:
     """Deterministic, order-independent per-trial generators."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
@@ -548,10 +446,10 @@ class MonteCarloResult:
         return self.emse_node_curve.mean(axis=1)
 
 
-def steady_state(curve, window_frac: float = 0.1) -> np.ndarray:
-    """Mean over the trailing window (default: final 10% of iterations)."""
+def steady_state(curve) -> np.ndarray:
+    """Mean over the trailing ``STEADY_STATE_WINDOW`` share of iterations."""
     curve = np.asarray(curve)
-    w = max(1, int(round(window_frac * curve.shape[0])))
+    w = max(1, int(round(STEADY_STATE_WINDOW * curve.shape[0])))
     return curve[-w:].mean(axis=0)
 
 
@@ -561,15 +459,13 @@ def run_trials(
     iterations: int,
     trials: int,
     seed: int,
-    topology=None,
-    w0=None,
 ) -> MonteCarloResult:
     """Average ``simulate_trial`` over independent seeded trials."""
     msd_sum = np.zeros((iterations, model.n))
     emse_sum = np.zeros((iterations, model.n))
     diverged = 0
     for rng in trial_rngs(seed, trials):
-        res = simulate_trial(model, cfg, iterations, rng, topology=topology, w0=w0)
+        res = simulate_trial(model, cfg, iterations, rng)
         msd_sum += res.msd_node
         emse_sum += res.emse_node
         diverged += int(res.diverged)

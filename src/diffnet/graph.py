@@ -1,4 +1,4 @@
-"""Network topology representation and spectral connectivity analysis.
+"""Network topology representation and neighborhood sums.
 
 Graphs are undirected, without self-loops, and every node belongs to its own
 neighborhood.  The degree ``n_k`` counts the node itself, so ``n_k >= 1``
@@ -8,13 +8,12 @@ incident edges) and ``-1`` for each neighbor pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalCheckError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -83,21 +82,6 @@ class NeighborSum:
         return out
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Spectral connectivity summary of a topology.
-
-    ``laplacian_eigenvalues`` are sorted descending; the last one is zero up
-    to tolerance.  ``algebraic_connectivity`` is the second-smallest
-    eigenvalue, positive exactly when the graph is connected.
-    """
-
-    laplacian_eigenvalues: np.ndarray
-    algebraic_connectivity: float
-    connected: bool
-    zero_multiplicity: int
-
-
 def build_topology(adjacency) -> Topology:
     """Validate an adjacency matrix and derive neighborhoods and degrees.
 
@@ -134,83 +118,6 @@ def laplacian(t: Topology) -> np.ndarray:
     lap = np.where(t.adjacency, -1.0, 0.0)
     np.fill_diagonal(lap, t.degrees - 1)
     return lap
-
-
-def incidence(t: Topology) -> np.ndarray:
-    """Node-by-edge incidence matrix.
-
-    Each column carries ``+1`` at the lower-indexed endpoint and ``-1`` at the
-    higher-indexed endpoint, so ``incidence(t) @ incidence(t).T`` equals
-    ``laplacian(t)`` exactly.
-    """
-    edges = t.edges()
-    inc = np.zeros((t.n, len(edges)))
-    for e, (lo, hi) in enumerate(edges):
-        inc[lo, e] = 1.0
-        inc[hi, e] = -1.0
-    return inc
-
-
-def _bfs_connected(t: Topology) -> bool:
-    if t.n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        k = queue.popleft()
-        for l in np.flatnonzero(t.adjacency[k]):
-            if l not in seen:
-                seen.add(int(l))
-                queue.append(int(l))
-    return len(seen) == t.n
-
-
-def connectivity_report(t: Topology, tol: float | None = None) -> ConnectivityReport:
-    """Spectral connectivity analysis cross-checked against graph traversal.
-
-    Parameters
-    ----------
-    tol : float, optional
-        Zero-eigenvalue threshold.  Defaults to ``1e-9 * max(1, theta_1)``,
-        which keeps the comparison scale-relative on large graphs.
-
-    Raises
-    ------
-    InternalCheckError
-        If the spectral verdict disagrees with breadth-first reachability;
-        this signals a misconfigured tolerance, not bad input.
-    """
-    lap = laplacian(t)
-    eigs = np.linalg.eigvalsh(lap)[::-1]  # descending
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(eigs[0]) if t.n else 1.0)
-    elif tol <= 0:
-        raise ValidationError("tol must be positive")
-
-    zero_multiplicity = int(np.sum(np.abs(eigs) <= tol))
-    if t.n >= 2:
-        algebraic_connectivity = float(eigs[t.n - 2])
-        connected = algebraic_connectivity > tol
-    else:
-        # single node: trivially connected, no second eigenvalue exists
-        algebraic_connectivity = np.inf
-        connected = True
-
-    if connected != _bfs_connected(t):
-        raise InternalCheckError(
-            "spectral connectivity disagrees with graph traversal "
-            f"(algebraic connectivity {algebraic_connectivity:.3e}, tol {tol:.3e})"
-        )
-    if connected != (zero_multiplicity == 1):
-        raise InternalCheckError(
-            "zero-eigenvalue multiplicity inconsistent with connectivity flag"
-        )
-    return ConnectivityReport(
-        laplacian_eigenvalues=eigs,
-        algebraic_connectivity=algebraic_connectivity,
-        connected=connected,
-        zero_multiplicity=zero_multiplicity,
-    )
 
 
 def topology_from_dict(doc: dict) -> Topology:

@@ -10,8 +10,9 @@ combines through A.  Consensus RLS averages the information pairs
 Neighborhood sums (:class:`diffnet.graph.NeighborSum`) visit only nonzero
 weights, so a node never reads data it does not receive.
 
-The per-node rank-one and inverse forms that the kernel replaced are the
-test oracles in ``tests/filter_oracles.py``.
+The per-node rank-one and inverse forms that the kernel replaced, and the
+batch weighted least-squares solution that single-node RLS must track, are
+the test oracles in ``tests/filter_oracles.py``.
 """
 
 from __future__ import annotations
@@ -125,19 +126,3 @@ def crls_comm_scalars(t: Topology, m: int) -> np.ndarray:
     """Scalars received per node per consensus-RLS step:
     |N_k| * (M^2 + M + M + 1) for (P_l^-1, q_l, u_l, d_l)."""
     return t.degrees * (m * m + 2 * m + 1)
-
-
-def batch_weighted_ls(u_hist, d_hist, lam: float, delta: float) -> np.ndarray:
-    """Exponentially weighted regularized least squares on the full history.
-
-    Solves ``min_w lam^(i+1)/delta ||w||^2 + sum_j lam^(i-j) |d_j - u_j w|^2``
-    for a single node; the growing-window oracle for N = 1 RLS.
-    """
-    u_hist = np.asarray(u_hist, dtype=float)
-    d_hist = np.asarray(d_hist, dtype=float)
-    i = u_hist.shape[0] - 1
-    m = u_hist.shape[1]
-    weights = lam ** (i - np.arange(i + 1))
-    gram = (u_hist * weights[:, None]).T @ u_hist + (lam ** (i + 1) / delta) * np.eye(m)
-    rhs = (u_hist * weights[:, None]).T @ d_hist
-    return np.linalg.solve(gram, rhs)

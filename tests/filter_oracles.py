@@ -10,7 +10,9 @@ one node and one neighbor at a time:
   information form (``dkf_info_step``), and the consensus Kalman baseline
   (``ckf_step``);
 - the step-by-step, node-by-node draw of a state trajectory and its
-  measurements (``simulate_state_trajectory``).
+  measurements (``simulate_state_trajectory``);
+- the exponentially weighted least-squares solution over the whole history
+  of one node (``batch_weighted_ls``), which single-node RLS must track.
 
 Neighbor visits run in ascending node index.  The tests compare the kernels
 with these forms; ``stack`` turns a list of node states into the kernels'
@@ -107,6 +109,22 @@ def drls_alt_step(states, t, a, c, snapshot):
     # report the post-combination estimate of this step alongside psi
     psis = [s.psi for s in out]
     return [replace(out[k], w=_combine(a_e, t, psis, k)) for k in range(t.n)]
+
+
+def batch_weighted_ls(u_hist, d_hist, lam: float, delta: float) -> np.ndarray:
+    """Exponentially weighted regularized least squares on the full history.
+
+    Solves ``min_w lam^(i+1)/delta ||w||^2 + sum_j lam^(i-j) |d_j - u_j w|^2``
+    for a single node; the growing-window oracle for N = 1 RLS.
+    """
+    u_hist = np.asarray(u_hist, dtype=float)
+    d_hist = np.asarray(d_hist, dtype=float)
+    i = u_hist.shape[0] - 1
+    m = u_hist.shape[1]
+    weights = lam ** (i - np.arange(i + 1))
+    gram = (u_hist * weights[:, None]).T @ u_hist + (lam ** (i + 1) / delta) * np.eye(m)
+    rhs = (u_hist * weights[:, None]).T @ d_hist
+    return np.linalg.solve(gram, rhs)
 
 
 @dataclass

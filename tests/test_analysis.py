@@ -8,30 +8,24 @@ from diffnet.analysis import (
     build_moments,
     compare_strategies,
     consensus_mean_matrix,
-    generic_cost_report,
     imperfect_constructs,
     learning_curve_theory,
     mean_stability,
-    noncooperative_small_step,
     performance_report,
-    uniform_profile_msd,
     variance_constructs,
 )
-from diffnet.datamodel import (
-    EnsembleModel,
-    generate_model,
-    random_link_noise,
+from diffnet.datamodel import EnsembleModel, generate_model, random_link_noise
+from diffnet.diffusion import DiffusionConfig, atc_config, cta_config, non_cooperative_config
+from diffnet.errors import InstabilityError
+from diffnet.stochmat import identity_combination, kron_identity
+from theory_oracles import (
+    generic_cost_report,
+    generic_cost_step,
+    noncooperative_small_step,
+    step_size_bounds,
+    uniform_profile_msd,
     zero_link_noise,
 )
-from diffnet.diffusion import (
-    atc_config,
-    cta_config,
-    general_config,
-    non_cooperative_config,
-    step_size_bounds,
-)
-from diffnet.errors import InstabilityError
-from diffnet.stochmat import identity_combination
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -116,7 +110,7 @@ def random_setup(rng, n=3, m=2, mu=0.05, rule="metropolis", c_rule=None):
         c = combiners.build_combination(t, c_rule)
         if c.kind == "left":
             c = c.transpose()
-    cfg = general_config(a, a, c, mu)
+    cfg = DiffusionConfig(a, a, c, mu)
     moments = build_moments(model, cfg)
     return t, model, cfg, moments, variance_constructs(moments, cfg)
 
@@ -176,7 +170,7 @@ def test_moments_match_sampled_instantaneous_matrices():
     t = graph.topology_from_dict({"n": 2, "edges": [[1, 2]]})
     model = generate_model(rng, 2, 2)
     c = combiners.build_combination(t, "averaging").transpose()
-    cfg = general_config(
+    cfg = DiffusionConfig(
         combiners.build_combination(t, "metropolis"),
         combiners.build_combination(t, "metropolis"),
         c,
@@ -313,7 +307,7 @@ def test_uniform_profile_decoupled_formula():
         )
         a = combiners.build_combination(t, "metropolis")
         c = combiners.build_combination(t, "metropolis")  # doubly, usable as C
-        cfg = general_config(a, a, c, mu)
+        cfg = DiffusionConfig(a, a, c, mu)
         moments = build_moments(model, cfg)
         vc = variance_constructs(moments, cfg)
         assert vc.rho_b == pytest.approx(1.0 - mu * np.linalg.eigvalsh(ru)[0], abs=1e-12)
@@ -380,7 +374,7 @@ def _strategy(kind, t):
         return atc_config(a, c, 0.04)
     if kind == "cta":
         return cta_config(a, c, 0.04)
-    return general_config(a, combiners.build_combination(t, "relative_degree"), c, 0.04)
+    return DiffusionConfig(a, combiners.build_combination(t, "relative_degree"), c, 0.04)
 
 
 @pytest.mark.parametrize("kind", ["atc", "cta", "general"])
@@ -426,7 +420,7 @@ def test_learning_curve_near_defective_b_matches_oracle(monkeypatch, size, coupl
     b = q @ j @ q.T
     g = rng.standard_normal((size, size))
     vc = analysis.VarianceConstructs(
-        b=b, g=np.eye(size), y=0.01 * g @ g.T, rho_b=float(np.abs(np.linalg.eigvals(b)).max())
+        b=b, y=0.01 * g @ g.T, rho_b=float(np.abs(np.linalg.eigvals(b)).max())
     )
     model = EnsembleModel(wo=rng.standard_normal(size), ru=(g @ g.T + np.eye(size))[None],
                           sigma2_v=np.ones(1))
@@ -458,11 +452,12 @@ def test_mean_stability_verdicts():
     a = combiners.build_combination(t, "averaging")
     c = combiners.build_combination(t, "metropolis")
     bound = step_size_bounds(model, c)
-    cfg = general_config(a, a, c, 0.99 * bound)
+    cfg = DiffusionConfig(a, a, c, 0.99 * bound)
     moments = build_moments(model, cfg)
     info = mean_stability(variance_constructs(moments, cfg), moments, cfg)
     assert info["stable"]
     assert np.all(info["per_node_bound_ok"])
+    np.testing.assert_array_equal(info["mu_bounds"], bound)
 
     cfg_bad = non_cooperative_config(4, 1.01 * step_size_bounds(model, identity_combination(4)))
     moments_bad = build_moments(model, cfg_bad)
@@ -504,6 +499,10 @@ def test_consensus_mean_matrix_can_be_unstable_with_node_bounds_ok():
     assert rho_cons >= 1.0 and rho_diff < 1.0
 
 
+def row(report, name):
+    return next(r for r in report.rows if r.name == name)
+
+
 def test_compare_strategies_identity_all_equal():
     rng = np.random.default_rng(12)
     model = generate_model(rng, 3, 2)
@@ -526,16 +525,16 @@ def test_compare_strategies_uniform_ordering():
     c = combiners.build_combination(t, "metropolis")
     report = compare_strategies(model, a, c, 0.02)
     for name in ("atc<=cta", "cta<=lms", "atc<=lms"):
-        row = report.row(name)
-        assert row.applicable and row.holds, name
+        r = row(report, name)
+        assert r.applicable and r.holds, name
     # uniform noise: C'RvC <= Rv rows become applicable and hold
     model_u = EnsembleModel(
         wo=np.array([1.0, 0.0]), ru=np.tile(ru, (5, 1, 1)), sigma2_v=np.full(5, 0.005)
     )
     report_u = compare_strategies(model_u, a, c, 0.02)
     for name in ("cta_exchange<=cta_local", "atc_exchange<=atc_local"):
-        row = report_u.row(name)
-        assert row.applicable and row.holds, name
+        r = row(report_u, name)
+        assert r.applicable and r.holds, name
 
 
 def test_compare_strategies_skips_with_reason():
@@ -545,8 +544,8 @@ def test_compare_strategies_skips_with_reason():
     a = combiners.build_combination(t, "averaging")  # left, not doubly
     c = identity_combination(4, t)
     report = compare_strategies(model, a, c, 0.01)
-    row = report.row("atc<=cta")
-    assert not row.applicable and "doubly" in row.reason
+    r = row(report, "atc<=cta")
+    assert not r.applicable and "doubly" in r.reason
 
 
 def test_imperfect_zero_noise_degenerates_exactly():
@@ -557,17 +556,6 @@ def test_imperfect_zero_noise_degenerates_exactly():
     np.testing.assert_array_equal(vci.y, vc.y)
 
 
-def test_perfect_link_z_reduces_to_ctsc():
-    rng = np.random.default_rng(16)
-    t, model, cfg, moments, vc = random_setup(rng, c_rule="averaging")
-    from diffnet.stochmat import kron_identity
-
-    ct = kron_identity(cfg.c.entries.T, moments.m)
-    np.testing.assert_allclose(vc.z, ct @ moments.s @ ct.T, atol=1e-14)
-    vci = imperfect_constructs(moments, cfg, zero_link_noise(moments.n, moments.m))
-    np.testing.assert_allclose(vci.z, ct @ moments.s @ ct.T, atol=1e-14)
-
-
 def test_delta_y_psd_and_msd_penalty():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -576,7 +564,7 @@ def test_delta_y_psd_and_msd_penalty():
         model = generate_model(rng, n, 2)
         a = combiners.build_combination(t, "metropolis")
         c = combiners.build_combination(t, "averaging").transpose()
-        cfg = general_config(a, a, c, 0.02)
+        cfg = DiffusionConfig(a, a, c, 0.02)
         moments = build_moments(model, cfg)
         lm = random_link_noise(
             t, 2, rng, w_scale=10 ** rng.uniform(-6, -3), psi_scale=10 ** rng.uniform(-6, -3),
@@ -608,7 +596,7 @@ def test_steady_state_invariants(seed, n, m, rule, c_averaging, frac):
         c = combiners.build_combination(t, "averaging").transpose()
     else:
         c = identity_combination(n, t)
-    cfg = general_config(a, a, c, frac * step_size_bounds(model, c).min())
+    cfg = DiffusionConfig(a, a, c, frac * step_size_bounds(model, c).min())
     moments = build_moments(model, cfg)
     vc = variance_constructs(moments, cfg)
     assert vc.rho_b < 1.0
@@ -626,7 +614,8 @@ def test_generic_cost_report_quadratic_specialization():
     rng = np.random.default_rng(18)
     t, model, cfg, moments, vc = random_setup(rng, c_rule="averaging")
     rep = performance_report(vc, moments)
-    msd = generic_cost_report(model.ru, cfg, vc.z)
+    ct = kron_identity(cfg.c.entries.T, moments.m)
+    msd = generic_cost_report(model.ru, cfg, ct @ moments.s @ ct.T)
     assert abs(msd - rep.msd_network) < 1e-10
 
 
@@ -639,7 +628,7 @@ def test_generic_cost_report_zero_noise():
 
 def test_generic_cost_report_matches_simulation():
     # mildly non-quadratic costs with injected gradient noise at mu = 0.005
-    from diffnet.diffusion import generic_cost_step, init_state
+    from diffnet.diffusion import init_state
 
     rng = np.random.default_rng(20)
     t = graph.random_connected_topology(3, rng)

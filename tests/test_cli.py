@@ -217,6 +217,34 @@ def test_kalman_overflowing_inverse_covariance_is_validation_error(tmp_path, cap
     assert not (tmp_path / "kf").exists()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+LINK_NOISE = {"seed": 1, "psi_scale": 0.5, "d_scale": 0.5}
+
+
+@pytest.mark.parametrize(
+    "case, extension, value",
+    [
+        ("simulate_smoothing_tsa", "link_noise", LINK_NOISE),
+        ("simulate_smoothing_tsa", "adaptive_weights", {}),
+        ("simulate_consensus_lms", "link_noise", LINK_NOISE),
+        ("simulate_consensus_lms", "adaptive_weights", {}),
+        ("simulate_consensus_lms", "smoothing", {"order": "TSA", "f": [[0.5, 0.3, 0.2]]}),
+    ],
+)
+def test_extension_the_step_loop_would_drop_is_validation_error(tmp_path, capsys, case, extension, value):
+    # consensus LMS steps before any extension and smoothing before noisy
+    # links or adaptive weights, so the run would ignore the extension
+    doc = json.loads((GOLDEN / f"{case}.json").read_text())
+    doc["strategy"][extension] = value
+    if extension == "adaptive_weights" and "c" in doc["strategy"]:
+        doc["strategy"]["c"] = "identity"  # adaptive weights need c = I
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and extension in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def _curve_columns(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
 

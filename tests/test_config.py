@@ -94,6 +94,10 @@ PROBES = [
     ("kalman", ("strategy", "kalman", "q"), [[[0.01]]], "q must be"),
     ("kalman", ("strategy", "kalman", "f"), 0.99, "state dimensions"),
     ("consensus", ("strategy", "a"), "relative_degree_variance", "sigma2_v"),
+    # top-level keys the subcommand does not read
+    ("consensus", ("model",), MODEL, "'model'"),
+    ("consensus", ("trials",), 2, "'trials'"),
+    ("kalman", ("model",), MODEL, "'model'"),
 ]
 
 
@@ -105,6 +109,16 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, path
     assert err.startswith("error:") and named in err, err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_trials_flag_on_consensus_names_the_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY["consensus"]))
+    out = tmp_path / "out"
+    assert cli.main(["consensus", "--config", str(path), "--out", str(out), "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'trials'" in err, err
+    assert not out.exists()
 
 
 def test_matrix_rule_given_as_a_name_equals_the_rule_object(tmp_path):

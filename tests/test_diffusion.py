@@ -10,30 +10,32 @@ from diffnet.datamodel import (
     random_link_noise,
     sample_link_noise,
     sample_snapshot,
-    zero_link_noise,
 )
 from diffnet.diffusion import (
     AdaptiveWeightConfig,
+    DiffusionConfig,
     SmoothingConfig,
     adaptive_step,
     atc_config,
     consensus_error_curve,
-    consensus_lms_config,
     consensus_lms_step,
     cta_config,
     fit_geometric_rate,
-    general_config,
-    generic_cost_step,
-    generic_step_bound,
     init_state,
     non_cooperative_config,
-    run_steepest_descent,
     simulate_trial,
     smoothing_step,
-    step_size_bounds,
 )
 from diffnet.errors import PreconditionError, ValidationError
 from diffnet.stochmat import CombinationMatrix, identity_combination
+from theory_oracles import (
+    consensus_lms_config,
+    generic_cost_step,
+    generic_step_bound,
+    run_steepest_descent,
+    step_size_bounds,
+    zero_link_noise,
+)
 
 
 def scalar_model():
@@ -75,7 +77,7 @@ def test_steepest_descent_converges_under_bound():
     model = generate_model(rng, 5, 2)
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "averaging").transpose()
-    cfg = general_config(a, a, c, 0.99 * step_size_bounds(model, c))
+    cfg = DiffusionConfig(a, a, c, 0.99 * step_size_bounds(model, c))
     dev, state = run_steepest_descent(model, cfg, 8000)
     assert dev[-1] < 1e-10
     assert np.abs(state.w - model.wo).max() < 1e-10
@@ -141,9 +143,9 @@ def test_reduction_identities_bitwise():
     c = combiners.build_combination(t, "relative_degree").transpose()
     eye = identity_combination(4, t)
     pairs = [
-        (atc_config(a, c, 0.03), general_config(eye, a, c, 0.03)),
-        (cta_config(a, c, 0.03), general_config(a, eye, c, 0.03)),
-        (non_cooperative_config(4, 0.03), general_config(eye, eye, eye, 0.03)),
+        (atc_config(a, c, 0.03), DiffusionConfig(eye, a, c, 0.03)),
+        (cta_config(a, c, 0.03), DiffusionConfig(a, eye, c, 0.03)),
+        (non_cooperative_config(4, 0.03), DiffusionConfig(eye, eye, eye, 0.03)),
     ]
     for cfg_x, cfg_y in pairs:
         sx, sy = init_state(cfg_x, 2), init_state(cfg_y, 2)
@@ -162,8 +164,8 @@ def test_zero_link_draws_bit_identical():
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "averaging").transpose()
     lm0 = zero_link_noise(4, 2)
-    cfg_noisy = general_config(a, a, c, 0.05, link_noise=lm0)
-    cfg_clean = general_config(a, a, c, 0.05)
+    cfg_noisy = DiffusionConfig(a, a, c, 0.05, link_noise=lm0)
+    cfg_clean = DiffusionConfig(a, a, c, 0.05)
     s1, s2 = init_state(cfg_noisy, 2), init_state(cfg_clean, 2)
     for _ in range(50):
         snap = sample_snapshot(model, rng)
@@ -220,7 +222,7 @@ def test_rate_enhancement_over_noncooperative():
         a2 = combiners.build_combination(t, "relative_degree")
         c = combiners.build_combination(t, "metropolis")
         mu = 0.95 * 2.0 / np.linalg.eigvalsh(model.ru).max()
-        cfg = general_config(a1, a2, c, mu)
+        cfg = DiffusionConfig(a1, a2, c, mu)
         moments = analysis.build_moments(model, cfg)
         b = analysis.variance_constructs(moments, cfg).b
         noncoop = np.eye(n * m) - moments.mblk @ moments.ru
@@ -263,7 +265,7 @@ def test_consensus_preserves_sum():
 
 
 def _smoothing_cfg(t, a, order, f, q, mu):
-    return general_config(
+    return DiffusionConfig(
         identity_combination(t.n, t),
         a,
         identity_combination(t.n, t),
@@ -367,7 +369,6 @@ def _smoothing_step_oracle(state, cfg, snapshot):
             taps[mass[:, 0] == 0, 0] = 1.0
             x = sum(taps[:, j][:, None] * state.history[j] for j in range(avail))
     state.w = x
-    state.i += 1
     return state
 
 
@@ -405,7 +406,7 @@ def test_generic_cost_quadratic_equivalence_bitwise():
     model = generate_model(rng, 4, 2)
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "averaging").transpose()
-    cfg = general_config(a, a, c, 0.05)
+    cfg = DiffusionConfig(a, a, c, 0.05)
     s1, s2 = init_state(cfg, 2), init_state(cfg, 2)
     oracle = lambda l, w: model.ru[l] @ w - model.rdu[l]
     for _ in range(100):
@@ -483,9 +484,9 @@ def test_divergence_sentinel():
     assert np.isinf(res.msd_node[-1]).all()
 
 
-def per_step_trial(model, cfg, iterations, rng, topology=None):
+def per_step_trial(model, cfg, iterations, rng):
     """Reference trial loop: the error metrics and the sentinel after every step."""
-    state = init_state(cfg, model.m, topology=topology)
+    state = init_state(cfg, model.m)
     msd_node = np.empty((iterations, model.n))
     emse_node = np.empty((iterations, model.n))
     sentinel2 = (diffusion.SENTINEL * (1.0 + np.linalg.norm(model.wo))) ** 2
@@ -518,7 +519,7 @@ def _variant_configs(t, m, rng):
     eye = identity_combination(t.n, t)
     return {
         "atc": atc_config(a, c, 0.05),
-        "noisy_links": general_config(
+        "noisy_links": DiffusionConfig(
             a, a, c, 0.05, link_noise=random_link_noise(t, m, rng, w_scale=1e-3)
         ),
         "adaptive_weights": atc_config(a, eye, 0.05, adaptive_weights=AdaptiveWeightConfig()),
@@ -535,8 +536,8 @@ def test_blocked_trial_matches_per_step_oracle(variant):
     t = graph.random_connected_topology(6, rng)
     model = generate_model(rng, 6, 3)
     cfg = _variant_configs(t, 3, rng)[variant]
-    res = simulate_trial(model, cfg, 150, np.random.default_rng(42), topology=t)
-    msd, emse, state, diverged_at = per_step_trial(model, cfg, 150, np.random.default_rng(42), t)
+    res = simulate_trial(model, cfg, 150, np.random.default_rng(42))
+    msd, emse, state, diverged_at = per_step_trial(model, cfg, 150, np.random.default_rng(42))
     assert res.diverged_at is diverged_at is None
     np.testing.assert_array_equal(res.msd_node, msd)
     np.testing.assert_array_equal(res.emse_node, emse)
@@ -563,8 +564,8 @@ def test_blocked_trial_divergence_matches_per_step_oracle(variant, mu_scale, blo
         a = combiners.build_combination(t, "metropolis")
         cfg = atc_config(a, identity_combination(3, t), mu, adaptive_weights=AdaptiveWeightConfig())
     iterations = 20000
-    res = simulate_trial(model, cfg, iterations, np.random.default_rng(0), topology=t)
-    msd, emse, _, diverged_at = per_step_trial(model, cfg, iterations, np.random.default_rng(0), t)
+    res = simulate_trial(model, cfg, iterations, np.random.default_rng(0))
+    msd, emse, _, diverged_at = per_step_trial(model, cfg, iterations, np.random.default_rng(0))
     # the divergence lands inside a block, so the block steps on past it
     assert diverged_at // 64 == block and diverged_at % 64 != 63
     assert res.diverged and res.diverged_at == diverged_at

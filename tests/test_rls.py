@@ -6,7 +6,6 @@ from diffnet import combiners, graph
 from diffnet.datamodel import EnsembleModel, Snapshot, generate_model, sample_snapshot
 from diffnet.errors import ValidationError
 from diffnet.rls import (
-    batch_weighted_ls,
     crls_comm_scalars,
     crls_step,
     drls_comm_scalars,
@@ -54,7 +53,7 @@ def test_single_node_matches_batch_oracle():
             ds.append(snap.d[0])
             states = drls_step(states, eye, eye, snap)
             if (i + 1) % 100 == 0:
-                batch = batch_weighted_ls(np.array(us), np.array(ds), lam, 1e4)
+                batch = oracle.batch_weighted_ls(np.array(us), np.array(ds), lam, 1e4)
                 assert np.abs(batch - states.w[0]).max() < 1e-6
 
 

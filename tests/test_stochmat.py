@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from diffnet import graph, stochmat
+from diffnet import graph
 from diffnet.combiners import build_combination
 from diffnet.errors import PreconditionError, ValidationError
-from diffnet.stochmat import (
-    CombinationMatrix,
+from diffnet.stochmat import CombinationMatrix, classify_stochastic, second_eigenvalue_magnitude
+from stochmat_lemmas import (
     block_max_norm,
     block_max_norm_blockdiag,
     block_max_norm_kron,
     block_norm_bounds,
-    classify_stochastic,
     is_regular,
-    second_eigenvalue_magnitude,
     sinkhorn_normalize,
     spectral_radius,
     transformed_block_spectral_check,
