@@ -10,7 +10,6 @@ from . import analysis, combiners, datamodel, diffusion, graph, kalman, rls, sto
 from .errors import (
     DiffnetError,
     InstabilityError,
-    InternalCheckError,
     NumericalError,
     PreconditionError,
     ValidationError,
@@ -33,6 +32,5 @@ __all__ = [
     "PreconditionError",
     "NumericalError",
     "InstabilityError",
-    "InternalCheckError",
     "__version__",
 ]

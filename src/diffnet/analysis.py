@@ -24,12 +24,13 @@ k-th diagonal M x M block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .datamodel import EnsembleModel, LinkNoiseModel
-from .diffusion import DiffusionConfig, atc_config, cta_config, non_cooperative_config
+from .datamodel import EnsembleModel
+from .diffusion import DiffusionConfig
 from .errors import InstabilityError, ValidationError
 from .stochmat import DOUBLY, classify_stochastic, identity_combination, kron_identity
 
@@ -82,24 +83,27 @@ def build_moments(model: EnsembleModel, cfg: DiffusionConfig) -> NetworkMoments:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarianceConstructs:
     """Matrices of the mean and variance relations.
 
     ``b`` drives the mean error and ``y`` is the noise covariance injected
     per step, so the steady-state error covariance X solves X = B X B' + Y.
-    Under noisy exchange, :func:`imperfect_constructs` folds the link-noise
-    term into ``y`` and also keeps it on its own as ``delta_y``.
     """
 
     b: np.ndarray
     y: np.ndarray
     rho_b: float
-    delta_y: np.ndarray | None = None
+
+    @cached_property
+    def x_inf(self) -> np.ndarray:
+        """The steady-state X, solved on first use and kept for every reader."""
+        return _steady_state(self.b, self.y)
 
 
 def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> VarianceConstructs:
-    """Perfect-exchange constructs B and Y = G S G', with G = A2' M C'."""
+    """Constructs B and Y = G S G' (+ the link-noise term under noisy
+    exchange), with G = A2' M C'."""
     m = moments.m
     a1t = kron_identity(cfg.a1.entries.T, m)
     a2t = kron_identity(cfg.a2.entries.T, m)
@@ -107,14 +111,14 @@ def variance_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> Varian
     b = a2t @ (np.eye(moments.n * m) - moments.mblk @ moments.r) @ a1t
     g = a2t @ moments.mblk @ ct
     y = g @ moments.s @ g.T
+    if cfg.link_noise is not None:
+        y = y + imperfect_constructs(moments, cfg)
     rho_b = float(np.abs(np.linalg.eigvals(b)).max())
     return VarianceConstructs(b=b, y=y, rho_b=rho_b)
 
 
-def imperfect_constructs(
-    moments: NetworkMoments, cfg: DiffusionConfig, link_noise: LinkNoiseModel
-) -> VarianceConstructs:
-    """Constructs with the noisy-exchange correction ``delta_y`` folded into Y.
+def imperfect_constructs(moments: NetworkMoments, cfg: DiffusionConfig) -> np.ndarray:
+    """The noisy-exchange term delta_y that Y gains under ``cfg.link_noise``.
 
     delta_y = A2' M R_du M A2 + H Rw H' + Rpsi, with H = A2' (I - M R), where
     R_du aggregates measurement-exchange noise through the squared entries of
@@ -122,7 +126,7 @@ def imperfect_constructs(
     entries of A1/A2.  Regressors are exchanged unperturbed, so the mean
     dynamics (and hence B) are those of the perfect-exchange case.
     """
-    vc = variance_constructs(moments, cfg)
+    link_noise = cfg.link_noise
     n, m = moments.n, moments.m
     if link_noise.n != n or link_noise.m != m:
         raise ValidationError("link-noise model size does not match the network")
@@ -134,14 +138,11 @@ def imperfect_constructs(
 
     a2t = kron_identity(cfg.a2.entries.T, m)
     h = a2t @ (np.eye(n * m) - moments.mblk @ moments.r)
-    delta_y = (
+    return (
         a2t @ moments.mblk @ _blockdiag(rdu_blocks) @ moments.mblk @ a2t.T
         + h @ _blockdiag(rw_blocks) @ h.T
         + _blockdiag(rpsi_blocks)
     )
-    vc.delta_y = delta_y
-    vc.y = vc.y + delta_y
-    return vc
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,11 @@ def performance_report(
 ) -> PerformanceReport:
     """Steady-state network and per-node MSD/EMSE.
 
-    Solves the variance relation X = B X B' + Y for the steady-state error
-    covariance X by Smith doubling, raising InstabilityError when its
-    residual check fails, and reads node k's MSD Tr(X_kk) and EMSE
-    Tr(X_kk R_{u,k}) off its diagonal blocks.  An unstable configuration
-    (rho(B) >= 1) yields a report flagged unstable with NaN metrics rather
-    than an exception.
+    Takes the steady-state error covariance ``constructs.x_inf`` (Smith
+    doubling, raising InstabilityError when its residual check fails) and
+    reads node k's MSD Tr(X_kk) and EMSE Tr(X_kk R_{u,k}) off its diagonal
+    blocks.  An unstable configuration (rho(B) >= 1) yields a report flagged
+    unstable with NaN metrics rather than an exception.
     """
     n, m = moments.n, moments.m
     rho_b = constructs.rho_b
@@ -222,7 +222,7 @@ def performance_report(
             method="none",
         )
 
-    x = _steady_state(constructs.b, constructs.y)
+    x = constructs.x_inf
     nodes = np.arange(n)
     blocks = x.reshape(n, m, n, m)[nodes, :, nodes, :]  # (N, M, M) diagonal blocks X_kk
     msd_node = np.trace(blocks, axis1=1, axis2=2)
@@ -281,7 +281,7 @@ def learning_curve_theory(
 
     lam, v = np.linalg.eig(b)
     if np.linalg.cond(v) <= _EIGEN_COND_MAX:
-        x_inf = _steady_state(b, y)
+        x_inf = constructs.x_inf
         e = np.linalg.solve(v, np.linalg.solve(v, x0 - x_inf).T)  # V^-1 (X_0 - X_inf) V^-T
         # T V for T = blockdiag(R_u,k); T = I leaves V.  W takes the 1/N.
         ru_v = (moments.ru_stack @ v.reshape(n, m, n * m)).reshape(n * m, n * m)
@@ -309,19 +309,11 @@ def learning_curve_theory(
     return LearningCurves(emse=curves[0], msd=curves[1])
 
 
-def mean_stability(
-    constructs: VarianceConstructs, moments: NetworkMoments, cfg: DiffusionConfig
-) -> dict:
-    """Mean-stability summary: rho(B), the verdict, and the per-node bounds."""
-    lam_max = np.linalg.eigvalsh(moments.rk_stack)[:, -1]
-    bounds = 2.0 / lam_max
-    per_node_ok = cfg.mu < bounds
-    return {
-        "rho_b": constructs.rho_b,
-        "stable": constructs.rho_b < 1.0,
-        "per_node_bound_ok": per_node_ok,
-        "mu_bounds": bounds,
-    }
+def mean_stability(moments: NetworkMoments, cfg: DiffusionConfig) -> dict:
+    """Per-node step-size bounds 2 / lambda_max(R_k) and whether each mu_k
+    is below its bound; rho(B) and the verdict are in the report."""
+    bounds = 2.0 / np.linalg.eigvalsh(moments.rk_stack)[:, -1]
+    return {"per_node_bound_ok": cfg.mu < bounds, "mu_bounds": bounds}
 
 
 def consensus_mean_matrix(a, moments: NetworkMoments) -> np.ndarray:
@@ -334,9 +326,21 @@ def consensus_mean_matrix(a, moments: NetworkMoments) -> np.ndarray:
     return kron_identity(a_entries.T, moments.m) - moments.mblk @ moments.ru
 
 
-def _theory_msd(model: EnsembleModel, cfg: DiffusionConfig) -> float:
+class Theory(NamedTuple):
+    """The closed-form theory of one strategy."""
+
+    moments: NetworkMoments
+    constructs: VarianceConstructs
+    report: PerformanceReport
+    stability: dict
+
+
+def theory(model: EnsembleModel, cfg: DiffusionConfig) -> Theory:
+    """Moments, constructs, steady-state report and step-size bounds of a
+    strategy; the steady state is solved once, in the report."""
     moments = build_moments(model, cfg)
-    return performance_report(variance_constructs(moments, cfg), moments).msd_network
+    constructs = variance_constructs(moments, cfg)
+    return Theory(moments, constructs, performance_report(constructs, moments), mean_stability(moments, cfg))
 
 
 def _is_psd(x: np.ndarray, tol: float) -> bool:
@@ -357,6 +361,7 @@ class ComparisonRow:
 class ComparisonReport:
     msd: dict
     rows: list
+    configs: dict  # name -> the DiffusionConfig whose theory is msd[name]
 
 
 def compare_strategies(model: EnsembleModel, a, c, mu, tol: float = 1e-9) -> ComparisonReport:
@@ -368,16 +373,16 @@ def compare_strategies(model: EnsembleModel, a, c, mu, tol: float = 1e-9) -> Com
     """
     n = model.n
     mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
-    eye_c = identity_combination(n)
+    eye = identity_combination(n)
 
     configs = {
-        "atc": atc_config(a, c, mu_arr),
-        "cta": cta_config(a, c, mu_arr),
-        "lms": non_cooperative_config(n, mu_arr),
-        "atc_c_eye": atc_config(a, eye_c, mu_arr),
-        "cta_c_eye": cta_config(a, eye_c, mu_arr),
+        "atc": DiffusionConfig(eye, a, c, mu_arr),
+        "cta": DiffusionConfig(a, eye, c, mu_arr),
+        "lms": DiffusionConfig(eye, eye, eye, mu_arr),
+        "atc_c_eye": DiffusionConfig(eye, a, eye, mu_arr),
+        "cta_c_eye": DiffusionConfig(a, eye, eye, mu_arr),
     }
-    msd = {name: _theory_msd(model, cfg) for name, cfg in configs.items()}
+    msd = {name: theory(model, cfg).report.msd_network for name, cfg in configs.items()}
 
     a_doubly = DOUBLY in classify_stochastic(a.entries, tol)
     c_doubly = DOUBLY in classify_stochastic(c.entries, tol)
@@ -441,4 +446,4 @@ def compare_strategies(model: EnsembleModel, a, c, mu, tol: float = 1e-9) -> Com
             "lms",
         ),
     ]
-    return ComparisonReport(msd=msd, rows=rows)
+    return ComparisonReport(msd=msd, rows=rows, configs=configs)

@@ -7,7 +7,7 @@ emitted file is byte-identical across runs.
 
 Config schema (``SCHEMA`` below): one JSON object of sections.  A section
 that is not an object, a key its section does not list and a variant
-outside ``diffusion.VARIANTS`` are validation errors.  Defaults are in
+outside ``LMS_MATRICES`` are validation errors.  Defaults are in
 brackets; other keys are required, except that a section or a matrix may be
 left out.  The top level takes only the keys its subcommand reads, except
 that analyze accepts trials and iterations and ignores them.
@@ -54,13 +54,15 @@ from .errors import DiffnetError, ValidationError
 from .graph import Topology, random_connected_topology, topology_from_dict, topology_to_dict
 from .stochmat import DOUBLY, LEFT, RIGHT, CombinationMatrix, identity_combination, second_eigenvalue_magnitude
 
-# LMS variant -> the strategy keys that set (a1, a2, c); None is the identity
+# LMS variant -> the strategy keys that set (a1, a2, c); None is the identity.
+# Each variant is a special case of the general (A1, C, A2) form, except that
+# consensus_lms also takes the consensus step (DiffusionConfig.consensus).
 LMS_MATRICES = {
-    diffusion.GENERAL: ("a1", "a2", "c"),
-    diffusion.ATC: (None, "a", "c"),
-    diffusion.CTA: ("a", None, "c"),
-    diffusion.CONSENSUS_LMS: (None, "a", None),
-    diffusion.NON_COOPERATIVE: (None, None, None),
+    "general": ("a1", "a2", "c"),
+    "atc": (None, "a", "c"),
+    "cta": ("a", None, "c"),
+    "non_cooperative": (None, None, None),
+    "consensus_lms": (None, "a", None),
 }
 
 # section -> the keys the code reads from it; a section with two forms has
@@ -174,14 +176,16 @@ class ExperimentConfig:
     def load(cls, path, overrides=None, command=None) -> "ExperimentConfig":
         """The config at ``path`` with the command-line ``overrides`` applied,
         checked against ``command``'s top-level keys."""
+        schema = f"config.{command}" if f"config.{command}" in SCHEMA else "config"
         with open(path) as fh:
-            doc = _section(json.load(fh), "config", "config")
+            doc = _section(json.load(fh), "config", schema)
         overrides = overrides or {}
         for key in ("seed", "trials", "out"):
             if overrides.get(key) is not None:
-                doc[{"out": "outputs"}.get(key, key)] = overrides[key]
-        if f"config.{command}" in SCHEMA:
-            _section(doc, "config", f"config.{command}")
+                field = {"out": "outputs"}.get(key, key)
+                if field not in SCHEMA[schema]:
+                    raise ValidationError(f"--{key} does not apply to {command}: it takes no {field!r}")
+                doc[field] = overrides[key]
         if "seed" not in doc:
             raise ValidationError("config must set an explicit seed (no wall-clock seeding)")
         outputs = doc.get("outputs", "out")
@@ -266,10 +270,10 @@ def _mu(section: dict, where: str, n: int) -> np.ndarray:
 
 
 def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionConfig:
-    variant = strategy.get("variant", diffusion.ATC) if isinstance(strategy, dict) else diffusion.ATC
-    if variant not in diffusion.VARIANTS:
+    variant = strategy.get("variant", "atc") if isinstance(strategy, dict) else "atc"
+    if not isinstance(variant, str) or variant not in LMS_MATRICES:
         raise ValidationError(
-            f"strategy.variant must be one of {', '.join(diffusion.VARIANTS)}, got {json.dumps(variant)}"
+            f"strategy.variant must be one of {', '.join(LMS_MATRICES)}, got {json.dumps(variant)}"
         )
     _section(strategy, "strategy", f"strategy.{variant}")
     kw = {}
@@ -295,7 +299,9 @@ def build_strategy(strategy: dict, t: Topology, model) -> diffusion.DiffusionCon
         _matrix_from_spec(strategy.get(key) if key else None, t, model, role, f"strategy.{key}")
         for key, role in zip(LMS_MATRICES[variant], "aac")
     )
-    return diffusion.DiffusionConfig(a1, a2, c, _mu(strategy, "strategy", t.n), variant=variant, **kw)
+    return diffusion.DiffusionConfig(
+        a1, a2, c, _mu(strategy, "strategy", t.n), consensus=variant == "consensus_lms", **kw
+    )
 
 
 def _write_csv(path: Path, header, rows):
@@ -336,17 +342,6 @@ def _write_summary(path: Path, summary: dict):
         fh.write("\n")
 
 
-def _theory(model, cfg):
-    """Steady-state theory of a strategy: moments, constructs, report, stability."""
-    moments = analysis.build_moments(model, cfg)
-    if cfg.link_noise is not None:
-        constructs = analysis.imperfect_constructs(moments, cfg, cfg.link_noise)
-    else:
-        constructs = analysis.variance_constructs(moments, cfg)
-    report = analysis.performance_report(constructs, moments)
-    return moments, constructs, report, analysis.mean_stability(constructs, moments, cfg)
-
-
 def _inputs(t: Topology, model, cfg) -> dict:
     """Everything the theory numbers are computed from."""
     return {"topology": topology_to_dict(t), "model": model_to_dict(model),
@@ -368,7 +363,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     """Theory + Monte Carlo pipeline."""
     outdir = Path(config.outputs)
     t, model, cfg = _lms_setup(config)
-    moments, constructs, report, stability = _theory(model, cfg)
+    moments, constructs, report, stability = analysis.theory(model, cfg)
     steps = config.iterations
     mc = diffusion.run_trials(model, cfg, steps, config.trials, config.seed)
 
@@ -417,7 +412,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 
 def cmd_analyze(config: ExperimentConfig) -> int:
     t, model, cfg = _lms_setup(config)
-    _, _, report, stability = _theory(model, cfg)
+    _, _, report, stability = analysis.theory(model, cfg)
     summary = {
         "rho_b": report.rho_b,
         "stable_mean": report.stable_mean,
@@ -444,12 +439,8 @@ def cmd_compare(config: ExperimentConfig) -> int:
 
     sims = {}
     if config.iterations > 0:
-        for name, cfg in (
-            ("atc", diffusion.atc_config(a, c, mu)),
-            ("cta", diffusion.cta_config(a, c, mu)),
-            ("lms", diffusion.non_cooperative_config(t.n, mu)),
-        ):
-            mc = diffusion.run_trials(model, cfg, config.iterations, config.trials, config.seed)
+        for name in ("atc", "cta", "lms"):
+            mc = diffusion.run_trials(model, report.configs[name], config.iterations, config.trials, config.seed)
             sims[name] = float(diffusion.steady_state(mc.msd_curve))
 
     summary = {"msd_theory": report.msd, "msd_sim": sims, "rows": [asdict(r) for r in report.rows]}

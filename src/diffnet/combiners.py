@@ -143,7 +143,7 @@ class VarianceProductState:
             raise ValidationError("gamma2 estimates must be nonnegative")
 
 
-def init_variance_state(t: Topology, nu=0.05) -> VarianceProductState:
+def init_variance_state(t: Topology, nu) -> VarianceProductState:
     """Fresh estimator state: gamma2 = 1 on every maintained pair.
 
     Unit initialization makes the first combination behave like the

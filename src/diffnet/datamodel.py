@@ -35,17 +35,11 @@ class LinkDraws(NamedTuple):
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Ground truth and per-node second-order moments.
-
-    Derived fields: ``rdu[k] = Ru[k] @ wo`` (so the normal equations hold by
-    construction) and ``sigma2_d[k] = wo' Ru[k] wo + sigma2_v[k]``.
-    """
+    """Ground truth and per-node second-order moments."""
 
     wo: np.ndarray  # (M,)
     ru: np.ndarray  # (N, M, M), symmetric positive-definite
     sigma2_v: np.ndarray  # (N,), > 0
-    rdu: np.ndarray = field(init=False, repr=False)
-    sigma2_d: np.ndarray = field(init=False, repr=False)
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,8 +62,6 @@ class EnsembleModel:
         object.__setattr__(self, "wo", wo)
         object.__setattr__(self, "ru", ru)
         object.__setattr__(self, "sigma2_v", s2)
-        object.__setattr__(self, "rdu", ru @ wo)
-        object.__setattr__(self, "sigma2_d", np.einsum("m,kmn,n->k", wo, ru, wo) + s2)
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -191,9 +183,7 @@ def sample_link_noise(lm: LinkNoiseModel, rng) -> LinkDraws:
     return LinkDraws(vw=draws[0], vpsi=draws[1], vd=vd.reshape(n, n))
 
 
-def random_link_noise(
-    t: Topology, m: int, rng, w_scale=0.0, psi_scale=1e-3, d_scale=1e-3
-) -> LinkNoiseModel:
+def random_link_noise(t: Topology, m: int, rng, w_scale, psi_scale, d_scale) -> LinkNoiseModel:
     """Random PSD link-noise model supported on the directed edges of ``t``."""
     n = t.n
     rw = np.zeros((n, n, m, m))

@@ -25,13 +25,6 @@ from .datamodel import EnsembleModel, LinkDraws, LinkNoiseModel, Snapshot, sampl
 from .errors import PreconditionError, ValidationError
 from .stochmat import DOUBLY, LEFT, RIGHT, CombinationMatrix
 
-GENERAL = "general"
-ATC = "atc"
-CTA = "cta"
-NON_COOPERATIVE = "non_cooperative"
-CONSENSUS_LMS = "consensus_lms"
-VARIANTS = (GENERAL, ATC, CTA, NON_COOPERATIVE, CONSENSUS_LMS)
-
 SMOOTHING_ORDERS = ("TSA", "TAS", "STA", "ATS", "SAT", "AST")
 
 # scale-aware divergence sentinel: trip when ||w|| > SENTINEL * (1 + ||wo||)
@@ -77,18 +70,22 @@ class SmoothingConfig:
 class AdaptiveWeightConfig:
     """Online relative-variance combination weights (ATC family only)."""
 
-    nu: np.ndarray | float = 0.05
+    nu: np.ndarray | float
 
 
 @dataclass
 class DiffusionConfig:
-    """Matrices, step sizes, and optional extensions for one strategy."""
+    """Matrices, step sizes, and optional extensions for one strategy.
+
+    ``consensus`` selects the consensus LMS step, which combines with ``a2``
+    and adapts around the node's own previous estimate.
+    """
 
     a1: CombinationMatrix
     a2: CombinationMatrix
     c: CombinationMatrix
     mu: np.ndarray
-    variant: str = GENERAL
+    consensus: bool = False
     link_noise: LinkNoiseModel | None = None
     adaptive_weights: AdaptiveWeightConfig | None = None
     smoothing: SmoothingConfig | None = None
@@ -110,10 +107,8 @@ class DiffusionConfig:
             raise ValidationError(f"mu must be one step size or {n} of them") from None
         if np.any(self.mu < 0):
             raise ValidationError("step sizes must be nonnegative")
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"variant must be one of {VARIANTS}")
         extensions = [name for name in ("link_noise", "adaptive_weights") if getattr(self, name) is not None]
-        if self.variant == CONSENSUS_LMS and (extensions or self.smoothing is not None):
+        if self.consensus and (extensions or self.smoothing is not None):
             raise ValidationError("consensus_lms takes no link_noise, adaptive_weights or smoothing")
         if self.smoothing is not None and extensions:
             raise ValidationError(f"smoothing does not combine with {' or '.join(extensions)}")
@@ -125,15 +120,6 @@ class DiffusionConfig:
         self._a1_identity = np.array_equal(self.a1.entries, eye)
         self._a2_identity = np.array_equal(self.a2.entries, eye)
         self._c_identity = np.array_equal(self._c, eye)
-
-        if self.variant == ATC and not self._a1_identity:
-            raise ValidationError("ATC requires a1 = I")
-        if self.variant == CTA and not self._a2_identity:
-            raise ValidationError("CTA requires a2 = I")
-        if self.variant == NON_COOPERATIVE and not (
-            self._a1_identity and self._a2_identity and self._c_identity
-        ):
-            raise ValidationError("non-cooperative mode requires a1 = a2 = c = I")
 
         if self.adaptive_weights is not None:
             if not (self._a1_identity and self._c_identity):
@@ -167,29 +153,6 @@ def _prefix_taps(taps: np.ndarray) -> list:
     taps = np.where(mass > 0, taps / np.where(mass > 0, mass, 1.0), 0.0)
     taps[mass[:, 0] == 0, 0] = 1.0
     return [taps[:, j][:, None] for j in range(taps.shape[1])]
-
-
-def atc_config(a, c, mu, **kw) -> DiffusionConfig:
-    from .stochmat import identity_combination
-
-    return DiffusionConfig(
-        a1=identity_combination(a.n), a2=a, c=c, mu=mu, variant=ATC, **kw
-    )
-
-
-def cta_config(a, c, mu, **kw) -> DiffusionConfig:
-    from .stochmat import identity_combination
-
-    return DiffusionConfig(
-        a1=a, a2=identity_combination(a.n), c=c, mu=mu, variant=CTA, **kw
-    )
-
-
-def non_cooperative_config(n, mu, **kw) -> DiffusionConfig:
-    from .stochmat import identity_combination
-
-    eye = identity_combination(n)
-    return DiffusionConfig(a1=eye, a2=eye, c=eye, mu=mu, variant=NON_COOPERATIVE, **kw)
 
 
 @dataclass
@@ -242,7 +205,7 @@ def adaptive_step(
 
     ``link_draws`` must be supplied exactly when ``cfg.link_noise`` is set.
     """
-    if cfg.variant == CONSENSUS_LMS:
+    if cfg.consensus:
         raise PreconditionError("use consensus_lms_step for the consensus variant")
     noisy = cfg.link_noise is not None
     if noisy and link_draws is None:
@@ -263,33 +226,30 @@ def adaptive_step(
         d_recv = snapshot.d[:, None] + link_draws.vd
     psi = _lms_update(phi, snapshot, cfg.mu, cfg._c, cfg._c_identity, d_recv)
 
+    # w_k = sum_l a2_lk (psi_l + vpsi_lk), formed as A2' psi plus the noise
+    # term, so that zero draws leave the perfect-exchange result bit for bit
     if cfg.adaptive_weights is not None:
         psi_recv = psi[:, None, :] + link_draws.vpsi if noisy else psi
-        state.weights_state, entries = combiners.adapt_weights_all(state.weights_state, psi_recv, w_prev)
-        state.a2_dynamic = entries
-        if noisy:
-            w = np.einsum("lk,lkm->km", entries, psi[:, None, :] + link_draws.vpsi)
-        else:
-            w = entries.T @ psi
+        state.weights_state, a2 = combiners.adapt_weights_all(state.weights_state, psi_recv, w_prev)
+        state.a2_dynamic = a2
+        w = a2.T @ psi
     elif cfg._a2_identity:
-        w = psi
-    elif noisy:
-        w = cfg._a2t @ psi + np.einsum("lk,lkm->km", cfg.a2.entries, link_draws.vpsi)
+        a2, w = None, psi  # self pairs carry no link noise
     else:
-        w = cfg._a2t @ psi
+        a2, w = cfg.a2.entries, cfg._a2t @ psi
+    if noisy and a2 is not None:
+        w = w + np.einsum("lk,lkm->km", a2, link_draws.vpsi)
 
     state.w = w
     return state
 
 
-def consensus_lms_step(state: NetworkState, a, mu, snapshot: Snapshot) -> NetworkState:
-    """Consensus update: combine prior iterates, adapt around the node's own
-    previous estimate (not the combined one)."""
-    a_entries = a.entries if isinstance(a, CombinationMatrix) else np.asarray(a, dtype=float)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (state.w.shape[0],))
+def consensus_lms_step(state: NetworkState, cfg: DiffusionConfig, snapshot: Snapshot) -> NetworkState:
+    """Consensus update: combine prior iterates with ``cfg.a2``, adapt around
+    the node's own previous estimate (not the combined one)."""
     u, d = snapshot.u, snapshot.d
     err = d - np.einsum("km,km->k", u, state.w)
-    state.w = a_entries.T @ state.w + (mu * err)[:, None] * u
+    state.w = cfg._a2t @ state.w + (cfg.mu * err)[:, None] * u
     return state
 
 
@@ -383,7 +343,6 @@ def simulate_trial(
     ru = model.ru
     lm = cfg.link_noise
     smoothing = cfg.smoothing is not None
-    consensus = cfg.variant == CONSENSUS_LMS
     sentinel2 = (SENTINEL * (1.0 + np.linalg.norm(wo))) ** 2
     diverged_at = None
 
@@ -393,8 +352,8 @@ def simulate_trial(
             ws = block[: min(_METRIC_BLOCK, iterations - start)]
             for j in range(ws.shape[0]):
                 snap = sample_snapshot(model, rng)
-                if consensus:
-                    state = consensus_lms_step(state, cfg.a2, cfg.mu, snap)
+                if cfg.consensus:
+                    state = consensus_lms_step(state, cfg, snap)
                 elif smoothing:
                     state = smoothing_step(state, cfg, snap)
                 elif lm is not None:

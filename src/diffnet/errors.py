@@ -19,8 +19,3 @@ class NumericalError(DiffnetError, RuntimeError):
 
 class InstabilityError(DiffnetError, RuntimeError):
     """A closed-form evaluation was requested for an unstable configuration."""
-
-
-class InternalCheckError(DiffnetError, RuntimeError):
-    """An internal consistency check failed; indicates an implementation bug
-    or a numerical tolerance misconfiguration, not bad user input."""

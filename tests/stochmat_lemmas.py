@@ -8,7 +8,7 @@ random matrices.
 
 import numpy as np
 
-from diffnet.errors import InternalCheckError, NumericalError, PreconditionError, ValidationError
+from diffnet.errors import NumericalError, PreconditionError, ValidationError
 from diffnet.stochmat import LEFT, CombinationMatrix, classify_stochastic, kron_identity
 
 
@@ -101,7 +101,7 @@ def transformed_block_spectral_check(a1, a2, d_blocks, tol: float = 1e-10) -> di
 
     ``D`` is block diagonal with symmetric blocks.  The inequality is a
     theorem; a violation beyond ``tol`` indicates an implementation bug and
-    raises ``InternalCheckError`` rather than returning ``holds=False``.
+    raises ``AssertionError`` rather than returning ``holds=False``.
     """
     blocks = np.asarray(d_blocks, dtype=float)
     m = blocks.shape[1]
@@ -118,7 +118,7 @@ def transformed_block_spectral_check(a1, a2, d_blocks, tol: float = 1e-10) -> di
     lhs = spectral_radius(prod)
     holds = lhs <= rhs + tol
     if not holds:
-        raise InternalCheckError(
+        raise AssertionError(
             f"block spectral inequality violated: rho(product)={lhs:.12g} > max rho(D_k)={rhs:.12g}"
         )
     return {"lhs": lhs, "rhs": rhs, "holds": holds}

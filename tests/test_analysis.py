@@ -15,7 +15,7 @@ from diffnet.analysis import (
     variance_constructs,
 )
 from diffnet.datamodel import EnsembleModel, generate_model, random_link_noise
-from diffnet.diffusion import DiffusionConfig, atc_config, cta_config, non_cooperative_config
+from diffnet.diffusion import DiffusionConfig
 from diffnet.errors import InstabilityError
 from diffnet.stochmat import identity_combination, kron_identity
 from theory_oracles import (
@@ -95,7 +95,8 @@ def node_values(x: np.ndarray, moments) -> tuple[np.ndarray, np.ndarray]:
 
 def scalar_setup(mu=0.1, sigma2=1.0):
     model = EnsembleModel(wo=np.array([1.0]), ru=np.ones((1, 1, 1)), sigma2_v=np.array([sigma2]))
-    cfg = non_cooperative_config(1, mu)
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(eye, eye, eye, mu)
     moments = build_moments(model, cfg)
     return model, cfg, moments, variance_constructs(moments, cfg)
 
@@ -142,8 +143,7 @@ def test_scalar_closed_form():
 
 def test_zero_b_gives_x_equals_y():
     _, _, moments, vc = scalar_setup()
-    vc.b = np.zeros((1, 1))
-    vc.rho_b = 0.0
+    vc = analysis.VarianceConstructs(b=np.zeros((1, 1)), y=vc.y, rho_b=0.0)
     rep = performance_report(vc, moments)
     assert rep.msd_network == pytest.approx(vc.y[0, 0], rel=1e-14)
     assert rep.emse_network == pytest.approx(vc.y[0, 0], rel=1e-14)  # R_u = 1
@@ -157,7 +157,8 @@ def test_moments_identity_c():
 
 def test_moments_scalar_network():
     model = EnsembleModel(wo=np.array([2.0]), ru=np.full((1, 1, 1), 3.0), sigma2_v=np.array([0.5]))
-    cfg = non_cooperative_config(1, 0.01)
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(eye, eye, eye, 0.01)
     moments = build_moments(model, cfg)
     assert moments.r.shape == (1, 1)
     assert moments.s[0, 0] == pytest.approx(1.5)
@@ -281,7 +282,8 @@ def test_network_msd_is_mean_of_node_msds():
 def test_noncooperative_small_step_formulas():
     rng = np.random.default_rng(7)
     model = generate_model(rng, 4, 3, eigen_range=(0.8, 1.6))
-    cfg = non_cooperative_config(4, 0.002)
+    eye = identity_combination(4)
+    cfg = DiffusionConfig(eye, eye, eye, 0.002)
     moments = build_moments(model, cfg)
     rep = performance_report(variance_constructs(moments, cfg), moments)
     msd_approx, emse_approx = noncooperative_small_step(model, 0.002)
@@ -338,12 +340,14 @@ def test_learning_curve_tail_equals_steady_state_under_link_noise():
     t = graph.random_connected_topology(6, rng)
     model = generate_model(rng, 6, 2)
     a = combiners.build_combination(t, "metropolis")
-    cfg = atc_config(a, identity_combination(6, t), 0.05)
+    eye = identity_combination(6, t)
+    lm = random_link_noise(t, 2, rng, w_scale=0.0, psi_scale=1e-3, d_scale=1e-3)
+    cfg = DiffusionConfig(eye, a, eye, 0.05, link_noise=lm)
     moments = build_moments(model, cfg)
-    lm = random_link_noise(t, 2, rng, psi_scale=1e-3, d_scale=1e-3)
-    vci = imperfect_constructs(moments, cfg, lm)
+    vci = variance_constructs(moments, cfg)
     noisy = performance_report(vci, moments).msd_network
-    perfect = performance_report(variance_constructs(moments, cfg), moments).msd_network
+    perfect_cfg = DiffusionConfig(eye, a, eye, 0.05)
+    perfect = performance_report(variance_constructs(moments, perfect_cfg), moments).msd_network
     assert noisy > 10 * perfect  # the link noise dominates the steady state
     curves = learning_curve_theory(vci, moments, None, 3000)
     assert curves.msd[-1] == pytest.approx(noisy, rel=1e-10)
@@ -355,26 +359,25 @@ def test_learning_curve_tail_equals_performance_report(noisy):
     t = graph.random_connected_topology(8, rng)
     model = generate_model(rng, 8, 3)
     a = combiners.build_combination(t, "metropolis")
-    cfg = atc_config(a, a, 0.03)
+    lm = random_link_noise(t, 3, rng, w_scale=0.0, psi_scale=1e-3, d_scale=1e-3) if noisy else None
+    cfg = DiffusionConfig(identity_combination(8), a, a, 0.03, link_noise=lm)
     moments = build_moments(model, cfg)
-    if noisy:
-        vc = imperfect_constructs(moments, cfg, random_link_noise(t, 3, rng))
-    else:
-        vc = variance_constructs(moments, cfg)
+    vc = variance_constructs(moments, cfg)
     rep = performance_report(vc, moments)
     curves = learning_curve_theory(vc, moments, None, 4000)
     assert curves.emse[-1] == pytest.approx(rep.emse_network, rel=1e-10)
     assert curves.msd[-1] == pytest.approx(rep.msd_network, rel=1e-10)
 
 
-def _strategy(kind, t):
+def _strategy(kind, t, link_noise):
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "metropolis")
+    eye = identity_combination(t.n)
     if kind == "atc":
-        return atc_config(a, c, 0.04)
+        return DiffusionConfig(eye, a, c, 0.04, link_noise=link_noise)
     if kind == "cta":
-        return cta_config(a, c, 0.04)
-    return DiffusionConfig(a, combiners.build_combination(t, "relative_degree"), c, 0.04)
+        return DiffusionConfig(a, eye, c, 0.04, link_noise=link_noise)
+    return DiffusionConfig(a, combiners.build_combination(t, "relative_degree"), c, 0.04, link_noise=link_noise)
 
 
 @pytest.mark.parametrize("kind", ["atc", "cta", "general"])
@@ -384,12 +387,10 @@ def test_learning_curve_matches_recursion_oracle(kind, noisy):
     n, m = 7, 3
     t = graph.random_connected_topology(n, rng)
     model = generate_model(rng, n, m)
-    cfg = _strategy(kind, t)
+    lm = random_link_noise(t, m, rng, w_scale=1e-3, psi_scale=1e-3, d_scale=1e-3) if noisy else None
+    cfg = _strategy(kind, t, lm)
     moments = build_moments(model, cfg)
-    if noisy:
-        vc = imperfect_constructs(moments, cfg, random_link_noise(t, m, rng, w_scale=1e-3))
-    else:
-        vc = variance_constructs(moments, cfg)
+    vc = variance_constructs(moments, cfg)
     for w_init in (None, rng.standard_normal((n, m))):
         curves = learning_curve_theory(vc, moments, w_init, 600)
         emse = recursion_learning_curve(vc, moments, w_init, 600, moments.ru / n)
@@ -424,7 +425,8 @@ def test_learning_curve_near_defective_b_matches_oracle(monkeypatch, size, coupl
     )
     model = EnsembleModel(wo=rng.standard_normal(size), ru=(g @ g.T + np.eye(size))[None],
                           sigma2_v=np.ones(1))
-    moments = build_moments(model, non_cooperative_config(1, 0.1))
+    eye = identity_combination(1)
+    moments = build_moments(model, DiffusionConfig(eye, eye, eye, 0.1))
     solves = []
     real_solve = analysis._steady_state
     monkeypatch.setattr(analysis, "_steady_state", lambda *a: solves.append(1) or real_solve(*a))
@@ -438,7 +440,8 @@ def test_learning_curve_near_defective_b_matches_oracle(monkeypatch, size, coupl
 
 def test_learning_curve_unstable_raises():
     model = EnsembleModel(wo=np.array([1.0]), ru=np.ones((1, 1, 1)), sigma2_v=np.array([1.0]))
-    cfg = non_cooperative_config(1, 2.5)
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(eye, eye, eye, 2.5)
     moments = build_moments(model, cfg)
     vc = variance_constructs(moments, cfg)
     with pytest.raises(InstabilityError):
@@ -454,16 +457,17 @@ def test_mean_stability_verdicts():
     bound = step_size_bounds(model, c)
     cfg = DiffusionConfig(a, a, c, 0.99 * bound)
     moments = build_moments(model, cfg)
-    info = mean_stability(variance_constructs(moments, cfg), moments, cfg)
-    assert info["stable"]
+    info = mean_stability(moments, cfg)
+    assert variance_constructs(moments, cfg).rho_b < 1.0
     assert np.all(info["per_node_bound_ok"])
     np.testing.assert_array_equal(info["mu_bounds"], bound)
 
-    cfg_bad = non_cooperative_config(4, 1.01 * step_size_bounds(model, identity_combination(4)))
+    eye = identity_combination(4)
+    cfg_bad = DiffusionConfig(eye, eye, eye, 1.01 * step_size_bounds(model, eye))
     moments_bad = build_moments(model, cfg_bad)
-    info_bad = mean_stability(variance_constructs(moments_bad, cfg_bad), moments_bad, cfg_bad)
-    assert not info_bad["stable"]
-    assert info_bad["rho_b"] >= 1.0
+    info_bad = mean_stability(moments_bad, cfg_bad)
+    assert not np.any(info_bad["per_node_bound_ok"])
+    assert variance_constructs(moments_bad, cfg_bad).rho_b >= 1.0
 
 
 def test_consensus_mean_matrix_can_be_unstable_with_node_bounds_ok():
@@ -484,13 +488,14 @@ def test_consensus_mean_matrix_can_be_unstable_with_node_bounds_ok():
 
         a = CombinationMatrix(a_entries, "left")
         mu = rng.uniform(1.5, 1.99)
-        cfg = non_cooperative_config(n, mu)
+        eye = identity_combination(n)
+        cfg = DiffusionConfig(eye, eye, eye, mu)
         moments = build_moments(model, cfg)
         rho_cons = np.abs(np.linalg.eigvals(consensus_mean_matrix(a, moments))).max()
         bounds_ok = mu < 2.0  # lambda_max(R_u) = 1 everywhere
         if bounds_ok and rho_cons >= 1.0:
             # the diffusion counterpart with the same A stays stable
-            cfg_atc = atc_config(a, identity_combination(n), mu)
+            cfg_atc = DiffusionConfig(eye, a, eye, mu)
             vc = variance_constructs(build_moments(model, cfg_atc), cfg_atc)
             found = (rho_cons, vc.rho_b)
             break
@@ -551,9 +556,10 @@ def test_compare_strategies_skips_with_reason():
 def test_imperfect_zero_noise_degenerates_exactly():
     rng = np.random.default_rng(15)
     t, model, cfg, moments, vc = random_setup(rng, c_rule="averaging")
-    vci = imperfect_constructs(moments, cfg, zero_link_noise(moments.n, moments.m))
-    np.testing.assert_array_equal(vci.delta_y, np.zeros_like(vci.delta_y))
-    np.testing.assert_array_equal(vci.y, vc.y)
+    cfg0 = DiffusionConfig(cfg.a1, cfg.a2, cfg.c, cfg.mu, link_noise=zero_link_noise(moments.n, moments.m))
+    delta_y = imperfect_constructs(moments, cfg0)
+    np.testing.assert_array_equal(delta_y, np.zeros_like(delta_y))
+    np.testing.assert_array_equal(variance_constructs(moments, cfg0).y, vc.y)
 
 
 def test_delta_y_psd_and_msd_penalty():
@@ -570,11 +576,12 @@ def test_delta_y_psd_and_msd_penalty():
             t, 2, rng, w_scale=10 ** rng.uniform(-6, -3), psi_scale=10 ** rng.uniform(-6, -3),
             d_scale=10 ** rng.uniform(-5, -2),
         )
-        vci = imperfect_constructs(moments, cfg, lm)
-        min_eig = np.linalg.eigvalsh(0.5 * (vci.delta_y + vci.delta_y.T))[0]
+        cfg_noisy = DiffusionConfig(a, a, c, 0.02, link_noise=lm)
+        delta_y = imperfect_constructs(moments, cfg_noisy)
+        min_eig = np.linalg.eigvalsh(0.5 * (delta_y + delta_y.T))[0]
         assert min_eig >= -1e-12
         perfect = performance_report(variance_constructs(moments, cfg), moments).msd_network
-        imperfect = performance_report(vci, moments).msd_network
+        imperfect = performance_report(variance_constructs(moments, cfg_noisy), moments).msd_network
         assert imperfect >= perfect - 1e-15
 
 
@@ -635,7 +642,8 @@ def test_generic_cost_report_matches_simulation():
     ru = np.array([[1.2, 0.1], [0.1, 1.0]])
     wo = np.array([0.5, -0.5])
     a = combiners.build_combination(t, "metropolis")
-    cfg = atc_config(a, identity_combination(3, t), 0.005)
+    eye = identity_combination(3, t)
+    cfg = DiffusionConfig(eye, a, eye, 0.005)
     sigma_g = 0.05
     beta = 0.1
 

@@ -63,10 +63,25 @@ def test_theory_numbers_reproducible_from_logged_inputs(tmp_path):
     t = topology_from_dict(summary["inputs"]["topology"])
     model = cli.build_model_spec(summary["inputs"]["model"], t.n)
     a2 = CombinationMatrix(np.asarray(summary["inputs"]["a2"]), "left", supported_on=t)
-    cfg_obj = diffusion.atc_config(a2, identity_combination(t.n, t), np.asarray(summary["inputs"]["mu"]))
+    eye = identity_combination(t.n, t)
+    cfg_obj = diffusion.DiffusionConfig(eye, a2, eye, np.asarray(summary["inputs"]["mu"]))
     moments = analysis.build_moments(model, cfg_obj)
     rep = analysis.performance_report(analysis.variance_constructs(moments, cfg_obj), moments)
     assert rep.msd_network == pytest.approx(summary["msd_theory"], rel=1e-12)
+
+
+@pytest.mark.parametrize("command, solves", [("simulate", 1), ("analyze", 1), ("compare", 5)])
+def test_each_strategy_solves_its_steady_state_once(tmp_path, monkeypatch, command, solves):
+    from diffnet import analysis
+
+    calls = []
+    solve = analysis._steady_state
+    monkeypatch.setattr(analysis, "_steady_state", lambda b, y: calls.append(1) or solve(b, y))
+    doc = base_config(tmp_path / "run")
+    if command == "compare":  # five strategies: atc, cta, lms and atc/cta with C = I
+        doc["strategy"] = {"a": {"rule": "metropolis"}, "c": {"rule": "metropolis"}, "mu": 0.02}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 0
+    assert len(calls) == solves
 
 
 def test_zero_iterations_yields_empty_curves(tmp_path):

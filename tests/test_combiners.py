@@ -226,11 +226,9 @@ def test_adaptive_weights_converge_to_static_rule():
     sigma2 = np.array([0.02, 0.002, 0.008])
     model = EnsembleModel(wo=np.array([1.0, -0.5]), ru=ru, sigma2_v=sigma2)
     mu = 0.05
-    cfg = diffusion.atc_config(
-        build_combination(t, "averaging"),
-        identity_combination(3, t),
-        mu,
-        adaptive_weights=diffusion.AdaptiveWeightConfig(nu=0.05),
+    eye = identity_combination(3, t)
+    cfg = diffusion.DiffusionConfig(
+        eye, build_combination(t, "averaging"), eye, mu, adaptive_weights=diffusion.AdaptiveWeightConfig(nu=0.05)
     )
     state = diffusion.init_state(cfg, 2)
     from diffnet.datamodel import sample_snapshot

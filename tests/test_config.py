@@ -72,6 +72,7 @@ def _with(command, path, value):
 
 PROBES = [
     ("simulate", ("strategy", "variant"), "atcx", "variant"),
+    ("simulate", ("strategy", "variant"), ["atc"], "strategy.variant"),
     ("simulate", ("strategy", "muu"), 0.02, "'muu'"),
     ("simulate", ("iteration",), 20, "'iteration'"),
     ("simulate", ("emit",), ["learning_curve", "steady_state"], "'emit'"),
@@ -117,7 +118,7 @@ def test_trials_flag_on_consensus_names_the_key(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["consensus", "--config", str(path), "--out", str(out), "--trials", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "'trials'" in err, err
+    assert err.startswith("error:") and "--trials" in err, err
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from diffnet.datamodel import (
 )
 from diffnet.errors import ValidationError
 from diffnet import graph
-from theory_oracles import jmin, quadratic_cost, zero_link_noise
+from theory_oracles import cross_covariance, jmin, quadratic_cost, sigma2_d, zero_link_noise
 
 
 def two_node_model():
@@ -23,9 +23,9 @@ def two_node_model():
 
 def test_model_derived_fields():
     m = two_node_model()
-    np.testing.assert_allclose(m.rdu[0], m.ru[0] @ m.wo, atol=1e-15)
+    np.testing.assert_allclose(cross_covariance(m)[0], m.ru[0] @ m.wo, atol=1e-15)
     np.testing.assert_allclose(
-        m.sigma2_d, [m.wo @ m.ru[k] @ m.wo + m.sigma2_v[k] for k in range(2)], atol=1e-15
+        sigma2_d(m), [m.wo @ m.ru[k] @ m.wo + m.sigma2_v[k] for k in range(2)], atol=1e-15
     )
     # the minimum cost recovers the noise floor
     for k in range(2):
@@ -68,7 +68,7 @@ def test_snapshot_second_moments():
     for k in range(2):
         scale = np.abs(m.ru[k]).max()
         assert np.abs(acc[k] - m.ru[k]).max() <= 0.03 * scale
-        assert abs(var_d[k] - m.sigma2_d[k]) <= 0.03 * m.sigma2_d[k]
+        assert abs(var_d[k] - sigma2_d(m)[k]) <= 0.03 * sigma2_d(m)[k]
 
 
 def test_zero_link_noise_draws_exact_zero():
@@ -88,7 +88,7 @@ def test_link_draws_cover_only_noisy_pairs():
     n, m = 7, 3
     t = graph.random_connected_topology(n, np.random.default_rng(8))
     for w_scale in (0.0, 1e-3):
-        lm = random_link_noise(t, m, np.random.default_rng(9), w_scale=w_scale)
+        lm = random_link_noise(t, m, np.random.default_rng(9), w_scale=w_scale, psi_scale=1e-3, d_scale=1e-3)
         fw, fpsi = (_psd_factors(cov, name) for cov, name in ((lm.rw, "rw"), (lm.rpsi, "rpsi")))
         supports = [lm.rw.any(axis=(2, 3)), lm.rpsi.any(axis=(2, 3)), lm.sigma2_d != 0]
         assert supports[1].sum() == supports[2].sum() == t.adjacency.sum()
@@ -151,7 +151,7 @@ def test_aggregate_psi_covariance_definition():
     # R_psi_k = sum_l a_lk^2 Rpsi[l, k] is a plain weighted sum over links
     t = graph.topology_from_dict({"n": 3, "edges": [[1, 2], [2, 3]]})
     rng = np.random.default_rng(6)
-    lm = random_link_noise(t, 2, rng, psi_scale=1.0)
+    lm = random_link_noise(t, 2, rng, w_scale=0.0, psi_scale=1.0, d_scale=1e-3)
     a = np.abs(rng.standard_normal((3, 3)))
     agg = np.einsum("lk,lkmn->kmn", a**2, lm.rpsi)
     for k in range(3):
@@ -207,7 +207,7 @@ def test_normal_equations():
     m = generate_model(np.random.default_rng(8), 6, 3)
     for k in range(6):
         np.testing.assert_allclose(
-            np.linalg.solve(m.ru[k], m.rdu[k]), m.wo, atol=1e-10
+            np.linalg.solve(m.ru[k], cross_covariance(m)[k]), m.wo, atol=1e-10
         )
 
 

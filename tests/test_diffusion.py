@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from diffnet import combiners, diffusion, graph
+from diffnet import cli, combiners, diffusion, graph
 from diffnet.datamodel import (
     EnsembleModel,
     Snapshot,
@@ -16,13 +16,10 @@ from diffnet.diffusion import (
     DiffusionConfig,
     SmoothingConfig,
     adaptive_step,
-    atc_config,
     consensus_error_curve,
     consensus_lms_step,
-    cta_config,
     fit_geometric_rate,
     init_state,
-    non_cooperative_config,
     simulate_trial,
     smoothing_step,
 )
@@ -30,6 +27,7 @@ from diffnet.errors import PreconditionError, ValidationError
 from diffnet.stochmat import CombinationMatrix, identity_combination
 from theory_oracles import (
     consensus_lms_config,
+    cross_covariance,
     generic_cost_step,
     generic_step_bound,
     run_steepest_descent,
@@ -52,13 +50,14 @@ def half_matrix(t):
 
 def _steepest_descent_reference(state, cfg, model):
     """Per-node steepest-descent step: psi_k = phi_k + mu_k sum_l c_lk (r_du,l - R_u,l phi_k)."""
+    rdu = cross_covariance(model)
     phi = cfg.a1.entries.T @ state.w
     psi = np.empty_like(phi)
     for k in range(cfg.n):
         acc = np.zeros(model.m)
         for l in range(cfg.n):
             if cfg.c.entries[l, k] != 0.0:
-                acc += cfg.c.entries[l, k] * (model.rdu[l] - model.ru[l] @ phi[k])
+                acc += cfg.c.entries[l, k] * (rdu[l] - model.ru[l] @ phi[k])
         psi[k] = phi[k] + cfg.mu[k] * acc
     state.w = cfg.a2.entries.T @ psi
     return state
@@ -66,7 +65,8 @@ def _steepest_descent_reference(state, cfg, model):
 
 def test_steepest_descent_scalar_recursion():
     model = scalar_model()
-    cfg = non_cooperative_config(1, 0.5)
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(eye, eye, eye, 0.5)
     assert run_steepest_descent(model, cfg, 1)[1].w[0, 0] == pytest.approx(0.5)
     assert run_steepest_descent(model, cfg, 2)[1].w[0, 0] == pytest.approx(0.75)
 
@@ -86,17 +86,20 @@ def test_steepest_descent_converges_under_bound():
 def test_steepest_descent_identity_reduces_to_per_node():
     rng = np.random.default_rng(1)
     model = generate_model(rng, 3, 2)
-    cfg = non_cooperative_config(3, 0.1)
+    eye = identity_combination(3)
+    cfg = DiffusionConfig(eye, eye, eye, 0.1)
     _, state = run_steepest_descent(model, cfg, 20)
+    rdu = cross_covariance(model)
     w_manual = np.zeros((3, 2))
     for _ in range(20):
         for k in range(3):
-            w_manual[k] = w_manual[k] + 0.1 * (model.rdu[k] - model.ru[k] @ w_manual[k])
+            w_manual[k] = w_manual[k] + 0.1 * (rdu[k] - model.ru[k] @ w_manual[k])
     np.testing.assert_array_equal(state.w, w_manual)
 
 
 def test_adaptive_scalar_single_step():
-    cfg = non_cooperative_config(1, 0.5)
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(eye, eye, eye, 0.5)
     state = init_state(cfg, 1)
     snap = Snapshot(d=np.array([2.0]), u=np.array([[1.0]]), v=np.zeros(1))
     state = adaptive_step(state, cfg, snap)
@@ -106,7 +109,8 @@ def test_adaptive_scalar_single_step():
 def test_adaptive_two_node_hand_example():
     t = pair_topology()
     a = half_matrix(t)
-    cfg = atc_config(a, identity_combination(2, t), 1.0)
+    eye = identity_combination(2, t)
+    cfg = DiffusionConfig(eye, a, eye, 1.0)
     state = init_state(cfg, 1)
     snap = Snapshot(d=np.array([1.0, 3.0]), u=np.ones((2, 1)), v=np.zeros(2))
     state = adaptive_step(state, cfg, snap)
@@ -115,10 +119,10 @@ def test_adaptive_two_node_hand_example():
 
 def test_consensus_two_node_hand_example():
     t = pair_topology()
-    a = half_matrix(t)
-    state = init_state(consensus_lms_config(a, 1.0), 1)
+    cfg = consensus_lms_config(half_matrix(t), 1.0)
+    state = init_state(cfg, 1)
     snap = Snapshot(d=np.array([1.0, 3.0]), u=np.ones((2, 1)), v=np.zeros(2))
-    state = consensus_lms_step(state, a, np.ones(2), snap)
+    state = consensus_lms_step(state, cfg, snap)
     np.testing.assert_allclose(state.w.ravel(), [1.0, 3.0])
 
 
@@ -126,28 +130,32 @@ def test_consensus_identity_reduces_to_lms():
     rng = np.random.default_rng(2)
     model = generate_model(rng, 3, 2)
     eye = identity_combination(3)
-    s1 = init_state(consensus_lms_config(eye, 0.05), 2)
-    s2 = init_state(non_cooperative_config(3, 0.05), 2)
+    cfg1 = consensus_lms_config(eye, 0.05)
+    cfg2 = DiffusionConfig(eye, eye, eye, 0.05)
+    s1, s2 = init_state(cfg1, 2), init_state(cfg2, 2)
     for _ in range(50):
         snap = sample_snapshot(model, rng)
-        s1 = consensus_lms_step(s1, eye, np.full(3, 0.05), snap)
-        s2 = adaptive_step(s2, non_cooperative_config(3, 0.05), snap)
+        s1 = consensus_lms_step(s1, cfg1, snap)
+        s2 = adaptive_step(s2, cfg2, snap)
     np.testing.assert_allclose(s1.w, s2.w, atol=1e-14)
 
 
 def test_reduction_identities_bitwise():
+    # the CLI's variant table builds each special case of the general form
     rng = np.random.default_rng(3)
     t = graph.random_connected_topology(4, rng)
     model = generate_model(rng, 4, 2)
     a = combiners.build_combination(t, "metropolis")
     c = combiners.build_combination(t, "relative_degree").transpose()
     eye = identity_combination(4, t)
+    spec = {"a": "metropolis", "c": "relative_degree", "mu": 0.03}
     pairs = [
-        (atc_config(a, c, 0.03), DiffusionConfig(eye, a, c, 0.03)),
-        (cta_config(a, c, 0.03), DiffusionConfig(a, eye, c, 0.03)),
-        (non_cooperative_config(4, 0.03), DiffusionConfig(eye, eye, eye, 0.03)),
+        ({"variant": "atc", **spec}, DiffusionConfig(eye, a, c, 0.03)),
+        ({"variant": "cta", **spec}, DiffusionConfig(a, eye, c, 0.03)),
+        ({"variant": "non_cooperative", "mu": 0.03}, DiffusionConfig(eye, eye, eye, 0.03)),
     ]
-    for cfg_x, cfg_y in pairs:
+    for strategy, cfg_y in pairs:
+        cfg_x = cli.build_strategy(strategy, t, model)
         sx, sy = init_state(cfg_x, 2), init_state(cfg_y, 2)
         rng2 = np.random.default_rng(99)
         for _ in range(30):
@@ -175,9 +183,49 @@ def test_zero_link_draws_bit_identical():
         assert np.array_equal(s1.w, s2.w)
 
 
+def test_adaptive_weights_under_noisy_links():
+    # zero draws leave the perfect-exchange step bit for bit; with vpsi the
+    # weights and the combination see each link's own copy psi_l + v_lk
+    rng = np.random.default_rng(16)
+    n, m, mu, nu = 4, 2, 0.05, 0.05
+    t = graph.random_connected_topology(n, rng)
+    model = generate_model(rng, n, m)
+    a = combiners.build_combination(t, "metropolis")
+    eye = identity_combination(n, t)
+    aw = AdaptiveWeightConfig(nu=nu)
+    lm = random_link_noise(t, m, rng, w_scale=0.0, psi_scale=1e-2, d_scale=0.0)
+    cfg_zero = DiffusionConfig(eye, a, eye, mu, link_noise=zero_link_noise(n, m), adaptive_weights=aw)
+    cfg_clean = DiffusionConfig(eye, a, eye, mu, adaptive_weights=aw)
+    cfg_noisy = DiffusionConfig(eye, a, eye, mu, link_noise=lm, adaptive_weights=aw)
+    s_zero, s_clean, s_noisy = (init_state(cfg, m) for cfg in (cfg_zero, cfg_clean, cfg_noisy))
+    support = t.adjacency | np.eye(n, dtype=bool)
+    gamma2 = support.astype(float)
+    for _ in range(30):
+        snap = sample_snapshot(model, rng)
+        s_zero = adaptive_step(s_zero, cfg_zero, snap, sample_link_noise(cfg_zero.link_noise, rng))
+        s_clean = adaptive_step(s_clean, cfg_clean, snap)
+        assert np.array_equal(s_zero.w, s_clean.w)
+
+        draws = sample_link_noise(lm, rng)
+        w_prev = s_noisy.w.copy()
+        s_noisy = adaptive_step(s_noisy, cfg_noisy, snap, draws)
+        psi = w_prev + (mu * (snap.d - np.einsum("km,km->k", snap.u, w_prev)))[:, None] * snap.u
+        want = np.zeros((n, m))
+        for k in range(n):
+            links = np.flatnonzero(support[:, k])
+            for l in links:
+                dev = psi[l] + draws.vpsi[l, k] - w_prev[k]
+                gamma2[l, k] = (1.0 - nu) * gamma2[l, k] + nu * (dev @ dev)
+            weights = 1.0 / gamma2[links, k]
+            for l, weight in zip(links, weights / weights.sum()):
+                want[k] += weight * (psi[l] + draws.vpsi[l, k])
+        np.testing.assert_allclose(s_noisy.w, want, rtol=1e-12, atol=1e-15)
+
+
 def test_link_draws_required_when_configured():
     t = pair_topology()
-    cfg = atc_config(half_matrix(t), identity_combination(2, t), 0.1, link_noise=zero_link_noise(2, 1))
+    eye = identity_combination(2, t)
+    cfg = DiffusionConfig(eye, half_matrix(t), eye, 0.1, link_noise=zero_link_noise(2, 1))
     snap = Snapshot(d=np.zeros(2), u=np.ones((2, 1)), v=np.zeros(2))
     with pytest.raises(PreconditionError):
         adaptive_step(init_state(cfg, 1), cfg, snap)
@@ -190,7 +238,8 @@ def test_mean_convergence_rate_bounded_by_rho_b():
     t = graph.random_connected_topology(3, rng)
     model = generate_model(rng, 3, 2)
     a = combiners.build_combination(t, "metropolis")
-    cfg = atc_config(a, identity_combination(3, t), 0.08)
+    eye = identity_combination(3, t)
+    cfg = DiffusionConfig(eye, a, eye, 0.08)
     moments = analysis.build_moments(model, cfg)
     rho_b = analysis.variance_constructs(moments, cfg).rho_b
 
@@ -279,13 +328,14 @@ def test_smoothing_depth_one_reduces_to_atc_and_cta():
     t = graph.random_connected_topology(3, rng)
     model = generate_model(rng, 3, 2)
     a = combiners.build_combination(t, "metropolis")
+    eye = identity_combination(3, t)
     for order in ("TAS", "ATS", "AST"):
         cfg_s = _smoothing_cfg(t, a, order, [[1.0]], [1.0], 0.05)
-        cfg_r = atc_config(a, identity_combination(3, t), 0.05)
+        cfg_r = DiffusionConfig(eye, a, eye, 0.05)
         _assert_same_trajectory(model, cfg_s, cfg_r, smoothing=True)
     for order in ("TSA", "STA", "SAT"):
         cfg_s = _smoothing_cfg(t, a, order, [[1.0]], [1.0], 0.05)
-        cfg_r = cta_config(a, identity_combination(3, t), 0.05)
+        cfg_r = DiffusionConfig(a, eye, eye, 0.05)
         _assert_same_trajectory(model, cfg_s, cfg_r, smoothing=True)
 
 
@@ -408,7 +458,8 @@ def test_generic_cost_quadratic_equivalence_bitwise():
     c = combiners.build_combination(t, "averaging").transpose()
     cfg = DiffusionConfig(a, a, c, 0.05)
     s1, s2 = init_state(cfg, 2), init_state(cfg, 2)
-    oracle = lambda l, w: model.ru[l] @ w - model.rdu[l]
+    rdu = cross_covariance(model)
+    oracle = lambda l, w: model.ru[l] @ w - rdu[l]
     for _ in range(100):
         s1 = _steepest_descent_reference(s1, cfg, model)
         s2 = generic_cost_step(s2, cfg, oracle)
@@ -420,7 +471,8 @@ def test_generic_cost_quartic_converges_to_common_minimizer():
     rng = np.random.default_rng(12)
     t = graph.random_connected_topology(4, rng)
     a = combiners.build_combination(t, "metropolis")
-    cfg = atc_config(a, identity_combination(4, t), 0.05)
+    eye = identity_combination(4, t)
+    cfg = DiffusionConfig(eye, a, eye, 0.05)
     wo = np.array([0.7, -0.4])
     coeff = rng.uniform(0.5, 2.0, 4)
 
@@ -439,8 +491,8 @@ def test_generic_cost_quartic_converges_to_common_minimizer():
 
 
 def test_generic_cost_zero_gradient_is_identity():
-    t = pair_topology()
-    cfg = non_cooperative_config(2, 0.1)
+    eye = identity_combination(2)
+    cfg = DiffusionConfig(eye, eye, eye, 0.1)
     state = init_state(cfg, 2)
     state.w = np.array([[1.0, 2.0], [3.0, 4.0]])
     w0 = state.w.copy()
@@ -477,8 +529,8 @@ def test_generic_step_bound_noise_free_case():
 def test_divergence_sentinel():
     rng = np.random.default_rng(14)
     model = generate_model(rng, 3, 2)
-    bound = step_size_bounds(model, identity_combination(3))
-    cfg = non_cooperative_config(3, 1.01 * bound)
+    eye = identity_combination(3)
+    cfg = DiffusionConfig(eye, eye, eye, 1.01 * step_size_bounds(model, eye))
     res = simulate_trial(model, cfg, 20000, np.random.default_rng(0))
     assert res.diverged
     assert np.isinf(res.msd_node[-1]).all()
@@ -493,8 +545,8 @@ def per_step_trial(model, cfg, iterations, rng):
     diverged_at = None
     for i in range(iterations):
         snap = sample_snapshot(model, rng)
-        if cfg.variant == diffusion.CONSENSUS_LMS:
-            state = consensus_lms_step(state, cfg.a2, cfg.mu, snap)
+        if cfg.consensus:
+            state = consensus_lms_step(state, cfg, snap)
         elif cfg.smoothing is not None:
             state = smoothing_step(state, cfg, snap)
         elif cfg.link_noise is not None:
@@ -518,14 +570,14 @@ def _variant_configs(t, m, rng):
     c = combiners.build_combination(t, "metropolis")
     eye = identity_combination(t.n, t)
     return {
-        "atc": atc_config(a, c, 0.05),
+        "atc": DiffusionConfig(eye, a, c, 0.05),
         "noisy_links": DiffusionConfig(
-            a, a, c, 0.05, link_noise=random_link_noise(t, m, rng, w_scale=1e-3)
+            a, a, c, 0.05, link_noise=random_link_noise(t, m, rng, w_scale=1e-3, psi_scale=1e-3, d_scale=1e-3)
         ),
-        "adaptive_weights": atc_config(a, eye, 0.05, adaptive_weights=AdaptiveWeightConfig()),
+        "adaptive_weights": DiffusionConfig(eye, a, eye, 0.05, adaptive_weights=AdaptiveWeightConfig(nu=0.05)),
         "consensus_lms": consensus_lms_config(a, 0.05),
-        "smoothing": atc_config(
-            a, c, 0.05, smoothing=SmoothingConfig(order="TSA", f=[[0.5, 0.3, 0.2]], q=1.0)
+        "smoothing": DiffusionConfig(
+            eye, a, c, 0.05, smoothing=SmoothingConfig(order="TSA", f=[[0.5, 0.3, 0.2]], q=1.0)
         ),
     }
 
@@ -557,12 +609,13 @@ def test_blocked_trial_divergence_matches_per_step_oracle(variant, mu_scale, blo
     rng = np.random.default_rng(14)
     t = graph.random_connected_topology(3, rng)
     model = generate_model(rng, 3, 2)
-    mu = mu_scale * step_size_bounds(model, identity_combination(3))
+    eye = identity_combination(3, t)
+    mu = mu_scale * step_size_bounds(model, eye)
     if variant == "non_cooperative":
-        cfg = non_cooperative_config(3, mu)
+        cfg = DiffusionConfig(eye, eye, eye, mu)
     else:
         a = combiners.build_combination(t, "metropolis")
-        cfg = atc_config(a, identity_combination(3, t), mu, adaptive_weights=AdaptiveWeightConfig())
+        cfg = DiffusionConfig(eye, a, eye, mu, adaptive_weights=AdaptiveWeightConfig(nu=0.05))
     iterations = 20000
     res = simulate_trial(model, cfg, iterations, np.random.default_rng(0))
     msd, emse, _, diverged_at = per_step_trial(model, cfg, iterations, np.random.default_rng(0))
@@ -577,7 +630,8 @@ def test_blocked_trial_divergence_matches_per_step_oracle(variant, mu_scale, blo
 def test_run_trials_deterministic():
     rng = np.random.default_rng(15)
     model = generate_model(rng, 3, 2)
-    cfg = non_cooperative_config(3, 0.01)
+    eye = identity_combination(3)
+    cfg = DiffusionConfig(eye, eye, eye, 0.01)
     mc1 = diffusion.run_trials(model, cfg, 100, 5, seed=17)
     mc2 = diffusion.run_trials(model, cfg, 100, 5, seed=17)
     np.testing.assert_array_equal(mc1.msd_node_curve, mc2.msd_node_curve)
@@ -585,6 +639,6 @@ def test_run_trials_deterministic():
 
 def test_adaptive_weights_require_atc_family():
     t = pair_topology()
-    a = half_matrix(t)
+    eye = identity_combination(2, t)
     with pytest.raises(ValidationError):
-        cta_config(a, identity_combination(2, t), 0.1, adaptive_weights=AdaptiveWeightConfig())
+        DiffusionConfig(half_matrix(t), eye, eye, 0.1, adaptive_weights=AdaptiveWeightConfig(nu=0.05))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffnet import graph
-from diffnet.errors import InternalCheckError, ValidationError
+from diffnet.errors import ValidationError
 from diffnet.graph import Topology
 
 
@@ -68,7 +68,7 @@ def connectivity_report(t: Topology, tol: float | None = None) -> ConnectivityRe
 
     Raises
     ------
-    InternalCheckError
+    AssertionError
         If the spectral verdict disagrees with breadth-first reachability;
         this signals a misconfigured tolerance, not bad input.
     """
@@ -89,12 +89,12 @@ def connectivity_report(t: Topology, tol: float | None = None) -> ConnectivityRe
         connected = True
 
     if connected != _bfs_connected(t):
-        raise InternalCheckError(
+        raise AssertionError(
             "spectral connectivity disagrees with graph traversal "
             f"(algebraic connectivity {algebraic_connectivity:.3e}, tol {tol:.3e})"
         )
     if connected != (zero_multiplicity == 1):
-        raise InternalCheckError(
+        raise AssertionError(
             "zero-eigenvalue multiplicity inconsistent with connectivity flag"
         )
     return ConnectivityReport(

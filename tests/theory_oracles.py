@@ -14,6 +14,8 @@ against them.
   against simulation.
 - ``step_size_bounds``: the per-node bound 2 / lambda_max(R_k), which
   ``analysis.mean_stability`` reports as ``mu_bounds``.
+- ``cross_covariance`` and ``sigma2_d``: the moments r_du,k = R_u,k w_o and
+  sigma2_d,k = w_o' R_u,k w_o + sigma2_v,k that the data model implies.
 - ``quadratic_cost`` and ``jmin``: node costs and their minimum, the noise
   floor sigma2_v,k.
 - ``zero_link_noise``: a link-noise model whose draws are exact zeros, under
@@ -29,7 +31,7 @@ import numpy as np
 
 from diffnet.analysis import _blockdiag, _steady_state
 from diffnet.datamodel import EnsembleModel, LinkNoiseModel
-from diffnet.diffusion import CONSENSUS_LMS, SENTINEL, DiffusionConfig, NetworkState, init_state
+from diffnet.diffusion import SENTINEL, DiffusionConfig, NetworkState, init_state
 from diffnet.errors import InstabilityError, PreconditionError, ValidationError
 from diffnet.stochmat import RIGHT, CombinationMatrix, classify_stochastic, identity_combination, kron_identity
 
@@ -135,13 +137,14 @@ def run_steepest_descent(
     """Deterministic trajectory of ||w_i - wo|| per iteration: the diffusion
     step driven by the true moments, i.e. the generic cost step with the
     quadratic gradient ``R_u,l w - r_du,l``."""
-    if cfg.variant == CONSENSUS_LMS:
+    if cfg.consensus:
         raise PreconditionError("steepest-descent form not defined for the consensus variant")
     if model.n != cfg.n:
         raise ValidationError("model size does not match configuration")
+    rdu = cross_covariance(model)
 
     def gradient(l, w):
-        return model.ru[l] @ w - model.rdu[l]
+        return model.ru[l] @ w - rdu[l]
 
     state = init_state(cfg, model.m)
     dev = np.empty(iterations)
@@ -189,10 +192,20 @@ def step_size_bounds(model: EnsembleModel, c) -> np.ndarray:
     return 2.0 / lam_max
 
 
+def cross_covariance(model: EnsembleModel) -> np.ndarray:
+    """(N, M) stack of r_du,k = R_u,k w_o, so the normal equations hold."""
+    return model.ru @ model.wo
+
+
+def sigma2_d(model: EnsembleModel) -> np.ndarray:
+    """(N,) measurement variances sigma2_d,k = w_o' R_u,k w_o + sigma2_v,k."""
+    return np.einsum("m,kmn,n->k", model.wo, model.ru, model.wo) + model.sigma2_v
+
+
 def jmin(model: EnsembleModel, k: int) -> float:
     """Minimum cost at node k; equals the noise floor sigma2_v[k]."""
-    r = model.rdu[k]
-    return float(model.sigma2_d[k] - r @ np.linalg.solve(model.ru[k], r))
+    r = cross_covariance(model)[k]
+    return float(sigma2_d(model)[k] - r @ np.linalg.solve(model.ru[k], r))
 
 
 class CostEval(NamedTuple):
@@ -210,9 +223,9 @@ def quadratic_cost(model: EnsembleModel, k: int, w) -> CostEval:
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != model.m:
         raise ValidationError(f"w must have length {model.m}")
-    r = model.rdu[k]
+    r = cross_covariance(model)[k]
     ru = model.ru[k]
-    j = float(model.sigma2_d[k] - 2.0 * (w @ r) + w @ ru @ w)
+    j = float(sigma2_d(model)[k] - 2.0 * (w @ r) + w @ ru @ w)
     grad = 2.0 * (ru @ w - r)
     return CostEval(j=j, gradient=grad, jmin=jmin(model, k))
 
@@ -237,5 +250,5 @@ def variance_product(mu: float, sigma2_v: float, trace_ru: float) -> float:
 def consensus_lms_config(a, mu) -> DiffusionConfig:
     return DiffusionConfig(
         a1=identity_combination(a.n), a2=a, c=identity_combination(a.n),
-        mu=mu, variant=CONSENSUS_LMS,
+        mu=mu, consensus=True,
     )
